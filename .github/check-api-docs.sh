@@ -16,7 +16,7 @@
 #      payload) must appear backticked somewhere in docs/API.md, so new
 #      counters cannot ship undocumented, and
 #   7. every metric family the service registers (go run
-#      ./internal/tools/metricnames) must appear backticked in the
+#      ./internal/tools/registry metrics) must appear backticked in the
 #      docs/API.md metrics reference table, so /metrics cannot grow
 #      undocumented series.
 # Also gates the spec layer with go vet + gofmt so a drifted or
@@ -56,13 +56,13 @@ doc_families=$(awk '
     }
     in_table { exit }
 ' docs/API.md | sort)
-reg_families=$(go run ./internal/tools/specfamilies | sort)
+reg_families=$(go run ./internal/tools/registry families | sort)
 if [ -z "$doc_families" ]; then
     echo "check-api-docs: no family table rows found in docs/API.md (pattern drift?)" >&2
     status=1
 elif [ "$doc_families" != "$reg_families" ]; then
     echo "check-api-docs: docs/API.md family table disagrees with the spec registry:" >&2
-    echo "--- registry (go run ./internal/tools/specfamilies)" >&2
+    echo "--- registry (go run ./internal/tools/registry families)" >&2
     echo "$reg_families" >&2
     echo "--- docs/API.md table" >&2
     echo "$doc_families" >&2
@@ -81,13 +81,13 @@ doc_variants=$(awk '
     }
     in_table { exit }
 ' docs/API.md | sort)
-reg_variants=$(go run ./internal/tools/specvariants | sort)
+reg_variants=$(go run ./internal/tools/registry variants | sort)
 if [ -z "$doc_variants" ]; then
     echo "check-api-docs: no variant table rows found in docs/API.md (pattern drift?)" >&2
     status=1
 elif [ "$doc_variants" != "$reg_variants" ]; then
     echo "check-api-docs: docs/API.md variant table disagrees with the spec registry:" >&2
-    echo "--- registry (go run ./internal/tools/specvariants)" >&2
+    echo "--- registry (go run ./internal/tools/registry variants)" >&2
     echo "$reg_variants" >&2
     echo "--- docs/API.md table" >&2
     echo "$doc_variants" >&2
@@ -195,9 +195,9 @@ EOF
 # --- 7. Metric families vs docs/API.md ---------------------------------
 # Every metric family the full service registers must appear backticked
 # in the docs/API.md metrics reference table.
-metric_names=$(go run ./internal/tools/metricnames)
+metric_names=$(go run ./internal/tools/registry metrics)
 if [ -z "$metric_names" ]; then
-    echo "check-api-docs: no metric names from internal/tools/metricnames (pattern drift?)" >&2
+    echo "check-api-docs: no metric names from internal/tools/registry metrics (pattern drift?)" >&2
     status=1
 fi
 while IFS= read -r metric; do

@@ -12,8 +12,6 @@ import (
 type (
 	// Report summarises one protocol run; see core.Report.
 	Report = core.Report
-	// Options configures a run; see core.Options.
-	Options = core.Options
 	// Precondition is the Theorem 1 hypothesis check; see
 	// core.Precondition.
 	Precondition = core.Precondition
@@ -40,18 +38,6 @@ var (
 
 // NewRNG returns a deterministic random source for the given seed.
 func NewRNG(seed uint64) *RNG { return rng.New(seed) }
-
-// RunBestOfThree runs the paper's protocol (or opt.Rule) on g from an
-// i.i.d. initial configuration with P(Blue) = 1/2 − delta.
-//
-// Deprecated: RunBestOfThree is the v1 entry point, kept as a thin shim.
-// It takes no context (so it cannot be cancelled) and specifies the run
-// imperatively. New code should describe the run as a RunSpec and execute
-// it with NewRunner — the same spec then runs identically through the
-// library, the bo3sim CLI, and the bo3serve HTTP API.
-func RunBestOfThree(g Topology, delta float64, opt Options) (Report, error) {
-	return core.RunBestOfThree(g, delta, opt)
-}
 
 // CheckPrecondition evaluates Theorem 1's hypotheses on a concrete
 // instance.

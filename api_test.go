@@ -1,46 +1,50 @@
 package repro
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-func TestPublicAPIEndToEnd(t *testing.T) {
-	g := RandomRegular(512, 32, NewRNG(1))
-	rep, err := RunBestOfThree(g, 0.1, Options{Seed: 2})
+// runSpec executes s through the spec-validated Runner.
+func runSpec(t *testing.T, s RunSpec) *RunReport {
+	t.Helper()
+	r, err := NewRunner(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Consensus || !rep.RedWon {
-		t.Errorf("report = %+v", rep)
+	rep, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !CheckPrecondition(g, 0.1).DenseEnough {
+	return rep
+}
+
+func TestPublicAPIEndToEnd(t *testing.T) {
+	gs := GraphSpec{Family: "random-regular", N: 512, D: 32, Seed: 1}
+	rep := runSpec(t, RunSpec{Graph: gs, Delta: 0.1, Seed: 2})
+	if rep.ConsensusCount != 1 || rep.RedWins != 1 {
+		t.Errorf("report = %+v", rep.Outcomes)
+	}
+	if !CheckPrecondition(RandomRegular(512, 32, NewRNG(1)), 0.1).DenseEnough {
 		t.Error("dense instance failed the density check")
 	}
 }
 
 func TestPublicAPIVirtualComplete(t *testing.T) {
-	g := CompleteVirtual(1 << 14)
-	rep, err := RunBestOfThree(g, 0.05, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.RedWon || rep.Rounds > 20 {
-		t.Errorf("K_16384: rounds=%d redWon=%v", rep.Rounds, rep.RedWon)
+	rep := runSpec(t, RunSpec{Graph: GraphSpec{Family: "complete-virtual", N: 1 << 14}, Delta: 0.05, Seed: 3})
+	if rep.RedWins != 1 || rep.MaxRounds > 20 {
+		t.Errorf("K_16384: rounds=%d redWins=%d", rep.MaxRounds, rep.RedWins)
 	}
 }
 
 func TestPublicAPIBaselines(t *testing.T) {
-	g := Complete(128)
-	rep, err := RunBestOfThree(g, 0.2, Options{Seed: 4, Rule: BestOfTwo, MaxRounds: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Consensus {
+	g := GraphSpec{Family: "complete", N: 128}
+	rep := runSpec(t, RunSpec{Graph: g, Delta: 0.2, Seed: 4, Rule: &RuleSpec{K: 2}, MaxRounds: 5000})
+	if rep.ConsensusCount != 1 {
 		t.Error("best-of-2 did not converge on K128")
 	}
-	repv, err := RunBestOfThree(g, 0.2, Options{Seed: 5, Rule: Voter, MaxRounds: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !repv.Consensus {
+	repv := runSpec(t, RunSpec{Graph: g, Delta: 0.2, Seed: 5, Rule: &RuleSpec{K: 1}, MaxRounds: 100000})
+	if repv.ConsensusCount != 1 {
 		t.Error("voter model did not converge on K128")
 	}
 }

@@ -7,6 +7,7 @@ package repro
 // `go test -bench=. -benchmem` regenerates every table's data shape.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dynamics"
@@ -265,13 +266,21 @@ func BenchmarkAblationVirtualVsMaterialisedComplete(b *testing.B) {
 }
 
 func BenchmarkEndToEndConsensus(b *testing.B) {
-	g := graph.RandomRegular(1<<14, 128, rng.New(4))
+	gs := GraphSpec{Family: "random-regular", N: 1 << 14, D: 128, Seed: 4}
+	g, err := gs.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := RunBestOfThree(g, 0.05, Options{Seed: uint64(i)})
+		r, err := NewRunner(RunSpec{Graph: gs, Delta: 0.05, Seed: uint64(i)}, WithTopology(g))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(rep.Rounds), "rounds")
+		rep, err := r.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(rep.MeanRounds, "rounds")
 	}
 }

@@ -11,12 +11,9 @@
 //
 // With -serve it instead replays a parameter grid through a running
 // bo3serve instance as a load test, submitting the whole grid as one POST
-// /v1/sweeps request and tailing the NDJSON results stream; -serve-runs
-// replays the same grid the pre-sweep way (one POST /v1/runs per cell,
-// polled), for measuring the batching speedup:
+// /v1/sweeps request and tailing the NDJSON results stream:
 //
 //	bo3sweep -serve http://localhost:8080 -quick -concurrency 8
-//	bo3sweep -serve-runs http://localhost:8080 -quick -concurrency 8
 //
 // Adding -watch to a -serve session attaches a second, SSE subscription
 // to the sweep's live event topic (GET /v1/sweeps/{id}/events) and prints
@@ -53,7 +50,7 @@ type runner struct {
 	run func(experiments.Config) *table.Table
 }
 
-// replayGrid resolves the grid a -serve/-serve-runs session replays:
+// replayGrid resolves the grid a -serve session replays:
 // a named registry grid, or the load-test grid over the topology the
 // shared family flags select.
 func replayGrid(gf *cli.GraphFlags, cfg experiments.Config, gridID, variants string, quick bool, trials int) (serve.SweepGrid, error) {
@@ -102,19 +99,18 @@ func main() {
 	gf := &cli.GraphFlags{Family: "regular", N: 1 << 14, Alpha: 0.6, D: 32}
 	gf.Register(flag.CommandLine)
 	var (
-		quick     = flag.Bool("quick", false, "reduced scale (seconds instead of minutes)")
-		only      = flag.String("only", "", "comma-separated experiment ids to run (default: all)")
-		csvDir    = flag.String("csv", "", "directory to write per-experiment CSV files")
-		trials    = flag.Int("trials", 0, "override trial count")
-		maxN      = flag.Int("maxn", 0, "override largest graph size")
-		seed      = flag.Uint64("seed", 1, "experiment seed")
-		workers   = flag.Int("workers", 0, "harness parallelism (0 = GOMAXPROCS)")
-		serveURL  = flag.String("serve", "", "bo3serve base URL: replay the grid as one server-side /v1/sweeps request")
-		serveRuns = flag.String("serve-runs", "", "bo3serve base URL: replay the grid as per-cell /v1/runs requests (pre-sweep baseline)")
-		gridID    = flag.String("grid", "", "in -serve/-serve-runs mode, replay this registry grid (e.g. E1) instead of the -graph load-test grid")
-		variants  = flag.String("variants", "", "in -serve/-serve-runs mode, set the grid's variant axis (comma-separated, e.g. sync,async,stubborn:0.05,plurality:4)")
-		conc      = flag.Int("concurrency", 4, "concurrent cells in -serve / -serve-runs mode")
-		watch     = flag.Bool("watch", false, "in -serve mode, also tail the sweep's live event stream (SSE) and print round-level telemetry to stderr")
+		quick    = flag.Bool("quick", false, "reduced scale (seconds instead of minutes)")
+		only     = flag.String("only", "", "comma-separated experiment ids to run (default: all)")
+		csvDir   = flag.String("csv", "", "directory to write per-experiment CSV files")
+		trials   = flag.Int("trials", 0, "override trial count")
+		maxN     = flag.Int("maxn", 0, "override largest graph size")
+		seed     = flag.Uint64("seed", 1, "experiment seed")
+		workers  = flag.Int("workers", 0, "harness parallelism (0 = GOMAXPROCS)")
+		serveURL = flag.String("serve", "", "bo3serve base URL: replay the grid as one server-side /v1/sweeps request")
+		gridID   = flag.String("grid", "", "in -serve mode, replay this registry grid (e.g. E1) instead of the -graph load-test grid")
+		variants = flag.String("variants", "", "in -serve mode, set the grid's variant axis (comma-separated, e.g. sync,async,stubborn:0.05,plurality:4)")
+		conc     = flag.Int("concurrency", 4, "concurrent cells in -serve mode")
+		watch    = flag.Bool("watch", false, "in -serve mode, also tail the sweep's live event stream (SSE) and print round-level telemetry to stderr")
 	)
 	flag.Parse()
 
@@ -131,20 +127,12 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 
-	if *serveURL != "" && *serveRuns != "" {
-		log.Fatal("-serve and -serve-runs are mutually exclusive")
-	}
-	if *serveURL != "" || *serveRuns != "" {
+	if *serveURL != "" {
 		grid, err := replayGrid(gf, cfg, *gridID, *variants, *quick, *trials)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *serveURL != "" {
-			err = sweepTest(*serveURL, grid, *conc, *seed, *watch)
-		} else {
-			err = loadTest(*serveRuns, grid, *conc, *seed)
-		}
-		if err != nil {
+		if err := sweepTest(*serveURL, grid, *conc, *seed, *watch); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"time"
@@ -30,8 +31,8 @@ func cellSize(g serve.GraphSpec) int {
 // sweepTest replays the grid through a running bo3serve instance as ONE
 // server-side sweep: a single POST /v1/sweeps expands it into child runs
 // on the server, and the NDJSON results stream is tailed until the final
-// aggregate arrives — no per-cell round-trips and no polling, which is
-// the batching win over the -serve-runs path. With watch set it also
+// aggregate arrives — no per-cell round-trips and no polling. With watch
+// set it also
 // attaches an SSE subscriber to the sweep's event topic and prints live
 // round-level telemetry to stderr while the results stream runs.
 func sweepTest(base string, grid serve.SweepGrid, concurrency int, seed uint64, watch bool) error {
@@ -144,4 +145,34 @@ func sweepTest(base string, grid serve.SweepGrid, concurrency int, seed uint64, 
 		return fmt.Errorf("sweep ended %s with %d failed cells", final.State, failures)
 	}
 	return nil
+}
+
+func checkHealth(client *http.Client, base string) error {
+	resp, err := client.Get(base + "/healthz")
+	if err != nil {
+		return fmt.Errorf("bo3serve not reachable at %s: %w", base, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("bo3serve health check returned %s", resp.Status)
+	}
+	return nil
+}
+
+func fetchStats(client *http.Client, base string) (serve.Stats, error) {
+	var s serve.Stats
+	resp, err := client.Get(base + "/v1/stats")
+	if err != nil {
+		return s, err
+	}
+	return s, decodeJSON(resp, http.StatusOK, &s)
+}
+
+func decodeJSON(resp *http.Response, wantStatus int, v any) error {
+	defer resp.Body.Close()
+	if resp.StatusCode != wantStatus {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -29,8 +29,7 @@
 // outcomes across all three entry points: trial i always runs with
 // rng.ChildSeed(Seed, i) on the same engine configuration. Runner.Stream
 // delivers outcomes as trials complete; WithObserver taps per-round blue
-// counts. The imperative v1 entry point RunBestOfThree remains as a
-// deprecated shim.
+// counts.
 //
 // Rounds execute on one of two engines behind an automatic dispatch seam
 // (spec field "engine", default "auto"): complete-graph specs

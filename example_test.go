@@ -64,25 +64,6 @@ func ExampleRunner_Stream() {
 	// red wins: 8
 }
 
-// Run the paper's protocol on a dense random regular graph and check the
-// Theorem 1 diagnostics. Runs are deterministic per seed.
-func ExampleRunBestOfThree() {
-	g := repro.RandomRegular(4096, 128, repro.NewRNG(1))
-	report, err := repro.RunBestOfThree(g, 0.1, repro.Options{Seed: 2})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("red won:      ", report.RedWon)
-	fmt.Println("consensus:    ", report.Consensus)
-	fmt.Println("dense enough: ", report.Precondition.DenseEnough)
-	fmt.Println("few rounds:   ", report.Rounds <= report.PredictedRounds+5)
-	// Output:
-	// red won:       true
-	// consensus:     true
-	// dense enough:  true
-	// few rounds:    true
-}
-
 // Check Theorem 1's hypotheses without running anything: the cycle fails
 // the density gate, a dense regular graph passes it.
 func ExampleCheckPrecondition() {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -23,30 +24,27 @@ func main() {
 	fmt.Printf("protocol comparison on K_%d, delta=%.2f, %d trials\n\n", n, delta, trials)
 	fmt.Printf("%-16s %12s %10s %12s\n", "protocol", "mean rounds", "red wins", "consensus")
 
-	for _, rule := range []repro.Rule{repro.Voter, repro.BestOfTwo, repro.BestOfThree} {
+	for _, rule := range []*repro.RuleSpec{{K: 1}, {K: 2, Tie: "keep"}, {K: 3}} {
 		budget := 4000
 		if rule.K == 1 {
 			budget = 20 * n // voter model needs Θ(n) rounds; cap generously
 		}
-		rounds, redWins, consensus := 0, 0, 0
-		for trial := 0; trial < trials; trial++ {
-			g := repro.CompleteVirtual(n)
-			rep, err := repro.RunBestOfThree(g, delta, repro.Options{
-				Seed: uint64(trial), Rule: rule, MaxRounds: budget,
-			})
-			if err != nil {
-				panic(err)
-			}
-			rounds += rep.Rounds
-			if rep.RedWon {
-				redWins++
-			}
-			if rep.Consensus {
-				consensus++
-			}
+		runner, err := repro.NewRunner(repro.RunSpec{
+			Graph:     repro.GraphSpec{Family: "complete-virtual", N: n},
+			Delta:     delta,
+			Trials:    trials,
+			MaxRounds: budget,
+			Rule:      rule,
+		})
+		if err != nil {
+			panic(err)
+		}
+		rep, err := runner.Run(context.Background())
+		if err != nil {
+			panic(err)
 		}
 		fmt.Printf("%-16s %12.1f %7d/%d %9d/%d\n",
-			rule.Name(), float64(rounds)/trials, redWins, trials, consensus, trials)
+			rep.RuleName, rep.MeanRounds, rep.RedWins, trials, rep.ConsensusCount, trials)
 	}
 
 	fmt.Println()

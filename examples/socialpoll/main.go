@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dynamics"
@@ -66,7 +67,10 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			res := p.RunQuiet(budget)
+			res, err := dynamics.Run(context.Background(), p, budget, nil)
+			if err != nil {
+				panic(err)
+			}
 			rounds += res.Rounds
 			if res.Winner == opinion.Red {
 				redWins++

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"repro/internal/dynamics"
+	"repro/internal/opinion"
 	"repro/internal/theory"
 )
 
@@ -91,7 +92,7 @@ func CheckPrecondition(g Topology, delta float64) Precondition {
 	return p
 }
 
-// Options configures RunBestOfThree.
+// Options configures Run.
 type Options struct {
 	// Seed drives both the initial colouring and the protocol's sampling.
 	Seed uint64
@@ -107,7 +108,8 @@ type Options struct {
 	// the O(1) mean-field fast path on eligible topologies (graph.Kn) and
 	// the general sharded engine otherwise. EngineGeneral forces the
 	// general engine for A/B validation. Non-sync variants always run
-	// per-vertex sampling; requesting EngineMeanField with one is an error.
+	// per-vertex sampling and ignore this field; the spec registry rejects
+	// EngineMeanField with one.
 	Engine dynamics.Engine
 	// Variant selects the dynamic (sync, async, stubborn, plurality); the
 	// zero value is the paper's synchronous dynamic. See the Variant type.
@@ -116,14 +118,6 @@ type Options struct {
 	// first with (0, initial count), then once per executed round — on the
 	// goroutine driving the run. It must not retain the process.
 	OnRound func(round, blueCount int)
-}
-
-// RunBestOfThree initialises each vertex independently Blue with
-// probability 1/2 − delta (Red otherwise) and runs the protocol to
-// consensus, returning the full report. It cannot be cancelled; Run is the
-// context-aware entry point.
-func RunBestOfThree(g Topology, delta float64, opt Options) (Report, error) {
-	return Run(context.Background(), g, delta, opt)
 }
 
 // RoundBudget is the effective per-trial round cap Run enforces on the
@@ -139,11 +133,12 @@ func RoundBudget(g Topology, delta float64, maxRounds int) int {
 	return 50*predicted + 1000
 }
 
-// Run is RunBestOfThree with cancellation and per-round observation: the
-// context is checked between rounds, and a cancelled run returns the
-// partial report (trajectory up to the last completed round) together with
-// ctx.Err(). For a fixed seed and worker count the trajectory is identical
-// to RunBestOfThree's.
+// Run initialises each vertex independently Blue with probability
+// 1/2 − delta (Red otherwise; the variant decides the exact initial law),
+// runs the protocol to consensus or the round budget through dynamics.Run,
+// and returns the report with the Theorem 1 diagnostics. The context is
+// checked between rounds: a cancelled run returns the partial report
+// (trajectory up to the last completed round) together with ctx.Err().
 func Run(ctx context.Context, g Topology, delta float64, opt Options) (Report, error) {
 	if delta < 0 || delta > 0.5 {
 		return Report{}, fmt.Errorf("core: delta = %v outside [0, 0.5]", delta)
@@ -152,46 +147,19 @@ func Run(ctx context.Context, g Topology, delta float64, opt Options) (Report, e
 	if rule.K == 0 {
 		rule = dynamics.BestOfThree
 	}
-	pre := CheckPrecondition(g, delta)
-	predicted := theory.PredictedRounds(g.N(), float64(g.MinDegree()), math.Max(delta, 1e-6))
-	budget := RoundBudget(g, delta, opt.MaxRounds)
-	proc, err := newRunProcess(g, delta, rule, opt)
+	proc, err := newProcess(g, delta, rule, opt)
 	if err != nil {
 		return Report{}, err
 	}
-
-	rep := Report{PredictedRounds: predicted, Precondition: pre}
-	// Counts come from the process, not the materialised configuration:
-	// under the mean-field engine Blues and Consensus are O(1) reads, so
-	// the per-round bookkeeping never forces an O(n) materialisation. For
-	// the plurality variant, Blues is the opposition mass (vertices not
-	// holding opinion 0) and RedWon asks whether opinion 0 won.
-	blues := proc.Blues()
-	rep.BlueTrajectory = []int{blues}
-	if opt.OnRound != nil {
-		opt.OnRound(0, blues)
-	}
-	finish := func(err error) (Report, error) {
-		rep.Rounds = proc.Round()
-		rep.Consensus = proc.ConsensusReached()
-		rep.RedWon = proc.RedWon()
-		return rep, err
-	}
-	for proc.Round() < budget {
-		if proc.ConsensusReached() {
-			return finish(nil)
-		}
-		if err := ctx.Err(); err != nil {
-			return finish(err)
-		}
-		proc.Step()
-		blues = proc.Blues()
-		rep.BlueTrajectory = append(rep.BlueTrajectory, blues)
-		if opt.OnRound != nil {
-			opt.OnRound(proc.Round(), blues)
-		}
-	}
-	return finish(nil)
+	res, err := dynamics.Run(ctx, proc, RoundBudget(g, delta, opt.MaxRounds), opt.OnRound)
+	return Report{
+		Consensus:       res.Consensus,
+		RedWon:          res.Winner == opinion.Red,
+		Rounds:          res.Rounds,
+		PredictedRounds: theory.PredictedRounds(g.N(), float64(g.MinDegree()), math.Max(delta, 1e-6)),
+		BlueTrajectory:  res.BlueTrajectory,
+		Precondition:    CheckPrecondition(g, delta),
+	}, err
 }
 
 // EngineFor reports which engine a Run with the given options would

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestRunBestOfThreeHappyPath(t *testing.T) {
 	g := graph.RandomRegular(1024, 64, rng.New(1))
-	rep, err := RunBestOfThree(g, 0.1, Options{Seed: 2})
+	rep, err := Run(context.Background(), g, 0.1, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestRunBestOfThreeHappyPath(t *testing.T) {
 func TestRunRejectsBadDelta(t *testing.T) {
 	g := graph.Complete(8)
 	for _, d := range []float64{-0.1, 0.6} {
-		if _, err := RunBestOfThree(g, d, Options{}); err == nil {
+		if _, err := Run(context.Background(), g, d, Options{}); err == nil {
 			t.Errorf("delta %v accepted", d)
 		}
 	}
@@ -43,14 +44,14 @@ func TestRunRejectsBadDelta(t *testing.T) {
 
 func TestRunPropagatesEngineErrors(t *testing.T) {
 	iso := graph.FromEdges(3, [][2]int{{0, 1}}, "isolated")
-	if _, err := RunBestOfThree(iso, 0.1, Options{}); err == nil {
+	if _, err := Run(context.Background(), iso, 0.1, Options{}); err == nil {
 		t.Error("isolated vertex not rejected")
 	}
 }
 
 func TestRunWithBaselineRule(t *testing.T) {
 	g := graph.Complete(64)
-	rep, err := RunBestOfThree(g, 0.2, Options{Seed: 3, Rule: dynamics.BestOfTwo, MaxRounds: 2000})
+	rep, err := Run(context.Background(), g, 0.2, Options{Seed: 3, Rule: dynamics.BestOfTwo, MaxRounds: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunWithBaselineRule(t *testing.T) {
 
 func TestRunRespectsMaxRounds(t *testing.T) {
 	g := graph.Cycle(64)
-	rep, err := RunBestOfThree(g, 0.0, Options{Seed: 4, MaxRounds: 5})
+	rep, err := Run(context.Background(), g, 0.0, Options{Seed: 4, MaxRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // Registered variant names. The spec package's variant registry validates
-// wire requests against these; core re-checks the minimum (known name,
-// in-range parameters, no mean-field engine on non-sync variants) so direct
-// library callers get errors instead of panics.
+// requests against these, parameters and engine compatibility included;
+// core is reached through the spec-validated Runner and rejects only an
+// unknown name.
 const (
 	// VariantSync is the paper's synchronous dynamic — every vertex updates
 	// simultaneously each round. The default; "" resolves to it.
@@ -54,159 +54,35 @@ func (v Variant) Resolved() string {
 	return v.Name
 }
 
-// runProcess is what the Run loop needs from any variant's process: advance
-// one round, read the round count and the minority-mass observable
-// (the blue count; for plurality, the mass not holding opinion 0), and
-// classify the stop state. Reads never mutate state, so the loop may call
-// them freely between Steps.
-type runProcess interface {
-	Step()
-	Round() int
-	Blues() int
-	ConsensusReached() bool
-	RedWon() bool
-}
-
-// syncProcess adapts the synchronous engine (and, via embedding-free
-// delegation, keeps the pre-variant Run semantics byte-for-byte).
-type syncProcess struct{ p *dynamics.Process }
-
-func (s syncProcess) Step()      { s.p.Step() }
-func (s syncProcess) Round() int { return s.p.Round() }
-func (s syncProcess) Blues() int { return s.p.Blues() }
-func (s syncProcess) ConsensusReached() bool {
-	_, ok := s.p.Consensus()
-	return ok
-}
-func (s syncProcess) RedWon() bool {
-	if col, ok := s.p.Consensus(); ok {
-		return col == opinion.Red
-	}
-	return 2*s.p.Blues() <= s.p.Graph().N()
-}
-
-// stubbornProcess adapts the zealot dynamic; semantics match syncProcess
-// (the frozen Blue set simply never yields).
-type stubbornProcess struct{ p *dynamics.StubbornProcess }
-
-func (s stubbornProcess) Step()      { s.p.Step() }
-func (s stubbornProcess) Round() int { return s.p.Round() }
-func (s stubbornProcess) Blues() int { return s.p.Blues() }
-func (s stubbornProcess) ConsensusReached() bool {
-	_, ok := s.p.Consensus()
-	return ok
-}
-func (s stubbornProcess) RedWon() bool {
-	if col, ok := s.p.Consensus(); ok {
-		return col == opinion.Red
-	}
-	return 2*s.p.Blues() <= s.p.Graph().N()
-}
-
-// asyncProcess adapts the sequential-activation dynamic: one Step is one
-// sweep (n ticks), cut short the moment consensus is reached so Rounds
-// matches AsyncProcess.Run's ceil(ticks/n) accounting.
-type asyncProcess struct {
-	p      *dynamics.AsyncProcess
-	n      int
-	sweeps int
-}
-
-func (a *asyncProcess) Step() {
-	for i := 0; i < a.n; i++ {
-		if b := a.p.Blues(); b == 0 || b == a.n {
-			break
-		}
-		a.p.Tick()
-	}
-	a.sweeps++
-}
-func (a *asyncProcess) Round() int { return a.sweeps }
-func (a *asyncProcess) Blues() int { return a.p.Blues() }
-func (a *asyncProcess) ConsensusReached() bool {
-	b := a.p.Blues()
-	return b == 0 || b == a.n
-}
-func (a *asyncProcess) RedWon() bool { return 2*a.p.Blues() <= a.n }
-
-// pluralityProcess adapts the q-opinion dynamic onto the two-party report:
-// opinion 0 is the Red analogue, so Blues is the opposition mass and RedWon
-// asks whether opinion 0 is the consensus (or current plurality) winner.
-type pluralityProcess struct {
-	p *plurality.Process
-	n int
-}
-
-func (p *pluralityProcess) Step()      { p.p.Step() }
-func (p *pluralityProcess) Round() int { return p.p.Round() }
-func (p *pluralityProcess) Blues() int {
-	return p.n - p.p.Config().Counts()[0]
-}
-func (p *pluralityProcess) ConsensusReached() bool {
-	_, ok := p.p.Config().IsConsensus()
-	return ok
-}
-func (p *pluralityProcess) RedWon() bool {
-	if op, ok := p.p.Config().IsConsensus(); ok {
-		return op == 0
-	}
-	op, _ := p.p.Config().Plurality()
-	return op == 0
-}
-
-// newRunProcess builds the variant's process from the run options. Every
-// variant derives all randomness from one rng.New(opt.Seed) source in a
-// fixed order (initial configuration first, then any variant state, then
-// the process seed), so a trial's trajectory stays a pure function of
-// (spec, engine workers) — the byte-equivalence contract. The sync path
-// consumes the source exactly as the pre-variant Run did, keeping every
-// existing trajectory unchanged.
-func newRunProcess(g Topology, delta float64, rule dynamics.Rule, opt Options) (runProcess, error) {
-	name := opt.Variant.Resolved()
-	if name != VariantSync && opt.Engine == dynamics.EngineMeanField {
-		return nil, fmt.Errorf("core: engine \"mean-field\" supports only the synchronous default dynamic, not variant %q", name)
-	}
+// newProcess draws the initial configuration and builds the variant's
+// process. Every variant derives all randomness from one rng.New(opt.Seed)
+// source in a fixed order (initial configuration first, then any variant
+// state, then the process seed), so a trial's trajectory stays a pure
+// function of (spec, engine workers) — the byte-equivalence contract.
+// Non-sync variants always run the general engine (see EngineForVariant).
+func newProcess(g Topology, delta float64, rule dynamics.Rule, opt Options) (dynamics.Dynamic, error) {
 	src := rng.New(opt.Seed)
 	n := g.N()
-	switch name {
+	switch opt.Variant.Resolved() {
 	case VariantSync:
 		init := opinion.RandomConfig(n, 0.5-delta, src)
-		p, err := dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Workers: opt.Workers, Engine: opt.Engine})
-		if err != nil {
-			return nil, err
-		}
-		return syncProcess{p}, nil
+		return dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Workers: opt.Workers, Engine: opt.Engine})
 	case VariantAsync:
 		init := opinion.RandomConfig(n, 0.5-delta, src)
-		p, err := dynamics.NewAsync(g, rule, init, src.Uint64())
-		if err != nil {
-			return nil, err
-		}
-		return &asyncProcess{p: p, n: n}, nil
+		return dynamics.NewAsync(g, rule, init, src.Uint64())
 	case VariantStubborn:
-		frac := opt.Variant.StubbornFrac
-		if frac <= 0 || frac > 0.5 {
-			return nil, fmt.Errorf("core: stubborn variant requires stubborn_frac in (0, 0.5], got %v", frac)
-		}
 		init := opinion.RandomConfig(n, 0.5-delta, src)
 		// The zealot set is a deterministic function of the trial seed: the
 		// first round(frac·n) entries of a seeded permutation, frozen Blue
 		// (the E15 adversary — a Blue minority attacking a Red majority).
-		count := int(math.Round(frac * float64(n)))
+		count := int(math.Round(opt.Variant.StubbornFrac * float64(n)))
 		stub := src.Perm(n)[:count]
 		for _, v := range stub {
 			init.Set(v, opinion.Blue)
 		}
-		p, err := dynamics.NewStubborn(g, rule, init, stub, dynamics.Options{Seed: src.Uint64(), Workers: opt.Workers})
-		if err != nil {
-			return nil, err
-		}
-		return stubbornProcess{p}, nil
+		return dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Workers: opt.Workers, Engine: dynamics.EngineGeneral, Stubborn: stub})
 	case VariantPlurality:
 		q := opt.Variant.Q
-		if q < 2 || q > 256 {
-			return nil, fmt.Errorf("core: plurality variant requires q in [2, 256], got %d", q)
-		}
 		// share0 = 1/q + delta generalises the two-party 1/2 + delta: at
 		// q = 2 the initial law of opinion 0 equals Red's.
 		init := plurality.RandomBiasedConfig(n, q, 1/float64(q)+delta, src)
@@ -214,13 +90,9 @@ func newRunProcess(g Topology, delta float64, rule dynamics.Rule, opt Options) (
 		if rule.Tie == dynamics.TieRandom {
 			tie = plurality.TieRandomSample
 		}
-		p, err := plurality.New(g, init, plurality.Options{Seed: src.Uint64(), Workers: opt.Workers, Tie: tie})
-		if err != nil {
-			return nil, err
-		}
-		return &pluralityProcess{p: p, n: n}, nil
+		return plurality.New(g, init, plurality.Options{Seed: src.Uint64(), Workers: opt.Workers, Tie: tie})
 	default:
-		return nil, fmt.Errorf("core: unknown variant %q", name)
+		return nil, fmt.Errorf("core: unknown variant %q", opt.Variant.Name)
 	}
 }
 

@@ -10,18 +10,19 @@ import (
 // AsyncProcess is the asynchronous (sequential-activation) variant of
 // Best-of-k: at each tick a single uniformly random vertex wakes up,
 // samples k neighbours and updates. n ticks form one "sweep", the natural
-// unit comparable to one synchronous round.
+// unit comparable to one synchronous round; Step runs one sweep, so Run
+// drives this process exactly like the synchronous one.
 //
 // The paper analyses the synchronous dynamic; the asynchronous variant is
 // provided as an extension so that the examples can contrast the two
 // activation models on the same workloads.
 type AsyncProcess struct {
-	g     Topology
-	rule  Rule
-	cfg   *opinion.Config
-	src   *rng.Source
-	ticks int
-	blues int
+	g      Topology
+	rule   Rule
+	cfg    *opinion.Config
+	src    *rng.Source
+	sweeps int
+	blues  int
 }
 
 // NewAsync returns an asynchronous process. The initial configuration is
@@ -51,78 +52,41 @@ func NewAsync(g Topology, rule Rule, init *opinion.Config, seed uint64) (*AsyncP
 // next Tick; Clone it to keep a snapshot.
 func (a *AsyncProcess) Config() *opinion.Config { return a.cfg }
 
-// Ticks returns the number of single-vertex updates performed.
-func (a *AsyncProcess) Ticks() int { return a.ticks }
-
-// Sweeps returns the number of completed sweeps (ticks / n).
-func (a *AsyncProcess) Sweeps() int { return a.ticks / a.g.N() }
+// Round returns the number of completed sweeps.
+func (a *AsyncProcess) Round() int { return a.sweeps }
 
 // Blues returns the current number of Blue vertices (tracked incrementally,
 // so the read is O(1)).
 func (a *AsyncProcess) Blues() int { return a.blues }
 
-// Tick activates one uniformly random vertex.
+// Consensus reports whether every vertex holds one opinion.
+func (a *AsyncProcess) Consensus() bool { return a.blues == 0 || a.blues == a.g.N() }
+
+// Majority returns the majority colour (ties go to Red).
+func (a *AsyncProcess) Majority() opinion.Colour { return majority(a.blues, a.g.N()) }
+
+// Tick activates one uniformly random vertex and applies the same update
+// as one vertex of a synchronous noisy round.
 func (a *AsyncProcess) Tick() {
 	v := a.src.Intn(a.g.N())
-	deg := a.g.Degree(v)
-	k := a.rule.K
-	blues := 0
-	for i := 0; i < k; i++ {
-		w := a.g.Neighbor(v, a.src.Intn(deg))
-		if a.cfg.Get(w) == opinion.Blue {
-			blues++
-		}
-	}
-	if a.rule.Noise > 0 {
-		// Same misreporting model as the synchronous scalar path: each of
-		// the k observed opinions flips independently with probability Noise.
-		blues += a.src.Binomial(k-blues, a.rule.Noise) - a.src.Binomial(blues, a.rule.Noise)
-	}
-	var col opinion.Colour
-	switch {
-	case 2*blues > k:
-		col = opinion.Blue
-	case 2*blues < k:
-		col = opinion.Red
-	default:
-		if a.rule.Tie == TieKeep {
-			col = a.cfg.Get(v)
-		} else if a.src.Bernoulli(0.5) {
-			col = opinion.Blue
-		} else {
-			col = opinion.Red
-		}
-	}
-	old := a.cfg.Get(v)
-	if old != col {
-		if col == opinion.Blue {
+	words := a.cfg.BlueSet().Words()
+	if bit := updateScalar(a.g, &a.rule, words, v, a.src); bit != (words[v>>6]>>(uint(v)&63))&1 {
+		if bit == 1 {
 			a.blues++
+			a.cfg.Set(v, opinion.Blue)
 		} else {
 			a.blues--
+			a.cfg.Set(v, opinion.Red)
 		}
-		a.cfg.Set(v, col)
 	}
-	a.ticks++
 }
 
-// Run advances until consensus or maxSweeps·n ticks. The returned Rounds
-// counts sweeps, with the tick remainder rounded up, so results are
-// comparable to the synchronous engine.
-func (a *AsyncProcess) Run(maxSweeps int) Result {
+// Step runs one sweep: n ticks, cut short the moment consensus is reached,
+// since a run stops there.
+func (a *AsyncProcess) Step() {
 	n := a.g.N()
-	maxTicks := maxSweeps * n
-	for a.ticks < maxTicks {
-		if a.blues == 0 || a.blues == n {
-			break
-		}
+	for i := 0; i < n && a.blues != 0 && a.blues != n; i++ {
 		a.Tick()
 	}
-	res := Result{Rounds: (a.ticks + n - 1) / n}
-	if col, ok := a.cfg.IsConsensus(); ok {
-		res.Consensus = true
-		res.Winner = col
-	} else {
-		res.Winner = a.cfg.Majority()
-	}
-	return res
+	a.sweeps++
 }

@@ -154,7 +154,7 @@ func TestNoiseDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Run(30).BlueTrajectory
+		return runTo(t, p, 30).BlueTrajectory
 	}
 	a, b := run(), run()
 	for i := range a {

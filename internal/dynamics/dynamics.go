@@ -28,6 +28,10 @@
 //     trajectories are distributionally identical to the general engine's
 //     (and exactly the internal/markov chain) but follow a different RNG
 //     stream.
+//
+// Run is the one run loop: it drives any Dynamic — the synchronous
+// Process (zealots included, via Options.Stubborn), the AsyncProcess, and
+// the q-opinion plurality.Process — to consensus or a round budget.
 package dynamics
 
 import (
@@ -237,6 +241,11 @@ type Process struct {
 	// stays correct while Step stays O(1).
 	mfBlues int
 	mfDirty bool
+
+	// Zealot mask (nil without zealots): frozenMask marks the stubborn
+	// vertices word by word and frozenBits holds their initial opinions.
+	frozenMask []uint64
+	frozenBits []uint64
 }
 
 type shard struct {
@@ -255,6 +264,14 @@ type Options struct {
 	// Engine selects the per-round implementation; the zero value
 	// (EngineAuto) uses the mean-field fast path on eligible topologies.
 	Engine Engine
+	// Stubborn lists zealot vertices that keep their initial opinion
+	// forever (duplicates allowed). It is the dynamic analogue of the
+	// Sprinkling process's artificial always-Blue vertices (Section 3 of
+	// the paper); E15 measures how many the Red majority tolerates.
+	// Zealots break mean-field exchangeability, so a non-empty set runs
+	// the general engine: EngineAuto resolves to it and EngineMeanField is
+	// an error.
+	Stubborn []int
 }
 
 // New returns a Process evolving init under the rule on g. The initial
@@ -280,6 +297,12 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 		w = 1
 	}
 	engine := ResolveEngine(opt.Engine, g, rule)
+	if len(opt.Stubborn) > 0 {
+		if opt.Engine == EngineMeanField {
+			return nil, fmt.Errorf("dynamics: stubborn vertices require the general engine (frozen vertices break mean-field exchangeability)")
+		}
+		engine = EngineGeneral
+	}
 	if engine == EngineMeanField {
 		mf, ok := g.(MeanFielder)
 		if !ok || !mf.MeanFieldEligible() {
@@ -316,11 +339,18 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 		p.shards[i].buf.src = p.shards[i].src
 		p.shards[i].buf.pos = sampleBufWords
 	}
+	if len(opt.Stubborn) > 0 {
+		p.frozenMask = make([]uint64, len(p.cur.BlueSet().Words()))
+		for _, v := range opt.Stubborn {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("dynamics: stubborn vertex %d out of range [0,%d)", v, n)
+			}
+			p.frozenMask[v>>6] |= 1 << (uint(v) & 63)
+		}
+		p.frozenBits = append([]uint64(nil), p.cur.BlueSet().Words()...)
+	}
 	return p, nil
 }
-
-// Graph returns the underlying topology.
-func (p *Process) Graph() Topology { return p.g }
 
 // Rule returns the protocol being simulated.
 func (p *Process) Rule() Rule { return p.rule }
@@ -356,21 +386,16 @@ func (p *Process) Blues() int {
 	return p.cur.Blues()
 }
 
-// Consensus reports whether every vertex holds one opinion, and which,
-// without materialising mean-field state.
-func (p *Process) Consensus() (opinion.Colour, bool) {
-	if p.engine == EngineMeanField {
-		switch p.mfBlues {
-		case 0:
-			return opinion.Red, true
-		case p.g.N():
-			return opinion.Blue, true
-		default:
-			return opinion.Red, false
-		}
-	}
-	return p.cur.IsConsensus()
+// Consensus reports whether every vertex holds one opinion, without
+// materialising mean-field state.
+func (p *Process) Consensus() bool {
+	b := p.Blues()
+	return b == 0 || b == p.g.N()
 }
+
+// Majority returns the majority colour (ties go to Red), without
+// materialising mean-field state.
+func (p *Process) Majority() opinion.Colour { return majority(p.Blues(), p.g.N()) }
 
 // SetBlueCount replaces the current configuration with the canonical one
 // holding exactly b Blue vertices (vertices [0, b) blue). O(1) under the
@@ -392,7 +417,9 @@ func (p *Process) SetBlueCount(b int) {
 
 // Step performs one synchronous round. All vertices sample from the
 // pre-round configuration, so the update is a simultaneous one as the paper
-// requires.
+// requires. Zealots are restored after the full round: every vertex,
+// zealots included, draws its samples as usual, and the zealots then
+// ignore their computed update.
 func (p *Process) Step() {
 	if p.g.N() == 0 {
 		p.round++
@@ -417,6 +444,12 @@ func (p *Process) Step() {
 		wg.Wait()
 	}
 	p.cur, p.next = p.next, p.cur
+	if p.frozenMask != nil {
+		words := p.cur.BlueSet().Words()
+		for i, m := range p.frozenMask {
+			words[i] = words[i]&^m | p.frozenBits[i]&m
+		}
+	}
 	p.round++
 }
 
@@ -489,51 +522,87 @@ func (p *Process) stepRangeBatched(lo, hi int, buf *sampleBuf) {
 	}
 }
 
-// stepRangeScalar is the pre-batching update loop, kept for rules with
-// per-sample noise: their Binomial draws consume the raw source directly,
-// and the trajectory contract (fixed seed and workers ⇒ fixed outcome)
-// pins this consumption order.
+// stepRangeScalar is the update loop for rules with per-sample noise:
+// their Binomial draws consume the raw source directly, and the trajectory
+// contract (fixed seed and workers ⇒ fixed outcome) pins this consumption
+// order. Like the batched path it assembles each 64-vertex block in a
+// register and stores it with one write.
 func (p *Process) stepRangeScalar(lo, hi int, src *rng.Source) {
-	k := p.rule.K
-	noise := p.rule.Noise
-	for v := lo; v < hi; v++ {
-		deg := p.g.Degree(v)
-		blues := 0
-		if p.rule.WithoutReplacement && deg >= k {
-			blues = p.sampleDistinctScalar(v, deg, k, src)
-		} else {
-			for i := 0; i < k; i++ {
-				w := p.g.Neighbor(v, src.Intn(deg))
-				if p.cur.Get(w) == opinion.Blue {
-					blues++
+	cur := p.cur.BlueSet().Words()
+	next := p.next.BlueSet()
+	for base := lo; base < hi; base += 64 {
+		end := base + 64
+		if end > hi {
+			end = hi
+		}
+		var out uint64
+		for v := base; v < end; v++ {
+			out |= updateScalar(p.g, &p.rule, cur, v, src) << (uint(v) & 63)
+		}
+		next.SetWord(base>>6, out)
+	}
+}
+
+// updateScalar is the one Best-of-k vertex update drawn straight from a raw
+// source, shared by the synchronous noisy path and the async tick: v
+// samples k neighbours (distinct ones, via a partial Floyd sample, when the
+// rule asks and deg ≥ k), each observed opinion flips independently with
+// probability rule.Noise, and v adopts the majority, breaking ties by the
+// rule. cur holds the configuration's packed blue words; the result is
+// v's new opinion as a bit (1 = Blue). Like the batched path it indexes
+// CSR rows directly when the topology offers them; the draws are the same
+// either way.
+func updateScalar(g Topology, rule *Rule, cur []uint64, v int, src *rng.Source) uint64 {
+	k := rule.K
+	deg := g.Degree(v)
+	blues := 0
+	if rule.WithoutReplacement && deg >= k {
+		var chosenArr [8]int
+		chosen := chosenArr[:0]
+		if k > len(chosenArr) {
+			chosen = make([]int, 0, k)
+		}
+		for i := 0; i < k; i++ {
+		retry:
+			idx := src.Intn(deg)
+			for _, c := range chosen {
+				if c == idx {
+					goto retry
 				}
 			}
+			chosen = append(chosen, idx)
+			w := g.Neighbor(v, idx)
+			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
 		}
-		if noise > 0 {
-			// Flip each of the k observed opinions independently: of the
-			// `blues` blue samples, Bin(blues, noise) flip to red; of the
-			// red samples, Bin(k−blues, noise) flip to blue.
-			blues += src.Binomial(k-blues, noise) - src.Binomial(blues, noise)
+	} else if ns, ok := g.(neighborSlicer); ok {
+		row := ns.Neighbors(v)
+		for i := 0; i < k; i++ {
+			w := int(row[src.Intn(deg)])
+			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
 		}
-		var col opinion.Colour
-		switch {
-		case 2*blues > k:
-			col = opinion.Blue
-		case 2*blues < k:
-			col = opinion.Red
-		default: // tie, even k
-			switch p.rule.Tie {
-			case TieKeep:
-				col = p.cur.Get(v)
-			default: // TieRandom
-				if src.Bernoulli(0.5) {
-					col = opinion.Blue
-				} else {
-					col = opinion.Red
-				}
-			}
+	} else {
+		for i := 0; i < k; i++ {
+			w := g.Neighbor(v, src.Intn(deg))
+			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
 		}
-		p.next.Set(v, col)
+	}
+	if rule.Noise > 0 {
+		// Flip each of the k observed opinions independently: of the
+		// `blues` blue samples, Bin(blues, noise) flip to red; of the
+		// red samples, Bin(k−blues, noise) flip to blue.
+		blues += src.Binomial(k-blues, rule.Noise) - src.Binomial(blues, rule.Noise)
+	}
+	switch {
+	case 2*blues > k:
+		return 1
+	case 2*blues < k:
+		return 0
+	case rule.Tie == TieKeep:
+		return (cur[v>>6] >> (uint(v) & 63)) & 1
+	case src.Bernoulli(0.5):
+		return 1
+	default:
+		return 0
 	}
 }
 
@@ -562,95 +631,4 @@ func (p *Process) sampleDistinctBatched(v, deg, k int, buf *sampleBuf, curWords 
 		blues += int((curWords[w>>6] >> (uint(w) & 63)) & 1)
 	}
 	return blues
-}
-
-// sampleDistinctScalar is sampleDistinctBatched for the scalar (noisy)
-// path, drawing from the raw source.
-func (p *Process) sampleDistinctScalar(v, deg, k int, src *rng.Source) int {
-	var chosenArr [8]int
-	chosen := chosenArr[:0]
-	if k > len(chosenArr) {
-		chosen = make([]int, 0, k)
-	}
-	blues := 0
-	for i := 0; i < k; i++ {
-	retry:
-		idx := src.Intn(deg)
-		for _, c := range chosen {
-			if c == idx {
-				goto retry
-			}
-		}
-		chosen = append(chosen, idx)
-		if p.cur.Get(p.g.Neighbor(v, idx)) == opinion.Blue {
-			blues++
-		}
-	}
-	return blues
-}
-
-// Result summarises a completed run.
-type Result struct {
-	// Consensus reports whether every vertex held one opinion when the run
-	// stopped.
-	Consensus bool
-	// Winner is the consensus opinion when Consensus is true; otherwise the
-	// majority opinion at stop time.
-	Winner opinion.Colour
-	// Rounds is the number of rounds executed.
-	Rounds int
-	// BlueTrajectory records the number of blue vertices after each round,
-	// starting with the initial count (index 0).
-	BlueTrajectory []int
-}
-
-// Run advances the process until consensus or maxRounds, whichever comes
-// first, recording the blue-count trajectory.
-func (p *Process) Run(maxRounds int) Result {
-	res := Result{BlueTrajectory: []int{p.Blues()}}
-	for p.round < maxRounds {
-		if col, ok := p.Consensus(); ok {
-			res.Consensus = true
-			res.Winner = col
-			res.Rounds = p.round
-			return res
-		}
-		p.Step()
-		res.BlueTrajectory = append(res.BlueTrajectory, p.Blues())
-	}
-	res.Rounds = p.round
-	if col, ok := p.Consensus(); ok {
-		res.Consensus = true
-		res.Winner = col
-	} else {
-		res.Winner = p.majority()
-	}
-	return res
-}
-
-// RunQuiet is Run without trajectory recording, for the benchmark hot path.
-func (p *Process) RunQuiet(maxRounds int) Result {
-	for p.round < maxRounds {
-		if col, ok := p.Consensus(); ok {
-			return Result{Consensus: true, Winner: col, Rounds: p.round}
-		}
-		p.Step()
-	}
-	res := Result{Rounds: p.round}
-	if col, ok := p.Consensus(); ok {
-		res.Consensus = true
-		res.Winner = col
-	} else {
-		res.Winner = p.majority()
-	}
-	return res
-}
-
-// majority is Config().Majority() without forcing a mean-field
-// materialisation.
-func (p *Process) majority() opinion.Colour {
-	if 2*p.Blues() > p.g.N() {
-		return opinion.Blue
-	}
-	return opinion.Red
 }

@@ -89,7 +89,7 @@ func TestRunStopsAtConsensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.Run(1000)
+	res := runTo(t, p, 1000)
 	if !res.Consensus {
 		t.Fatalf("no consensus on K64 after %d rounds", res.Rounds)
 	}
@@ -107,19 +107,6 @@ func TestRunStopsAtConsensus(t *testing.T) {
 	}
 }
 
-func TestRunQuietMatchesRunStatistically(t *testing.T) {
-	// Same seed, same workers → identical trajectory, so results agree.
-	g := graph.RandomRegular(128, 16, rng.New(3))
-	cfg := opinion.RandomConfig(128, 0.3, rng.New(4))
-	p1, _ := New(g, BestOfThree, cfg, Options{Seed: 5, Workers: 2})
-	p2, _ := New(g, BestOfThree, cfg, Options{Seed: 5, Workers: 2})
-	r1 := p1.Run(500)
-	r2 := p2.RunQuiet(500)
-	if r1.Consensus != r2.Consensus || r1.Winner != r2.Winner || r1.Rounds != r2.Rounds {
-		t.Errorf("Run %+v != RunQuiet %+v", r1, r2)
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g := graph.RandomRegular(256, 8, rng.New(10))
 	cfg := opinion.RandomConfig(256, 0.4, rng.New(11))
@@ -128,7 +115,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Run(50).BlueTrajectory
+		return runTo(t, p, 50).BlueTrajectory
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -207,7 +194,7 @@ func TestTieRandomEventuallyBreaksSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.Run(10000)
+	res := runTo(t, p, 10000)
 	if !res.Consensus {
 		t.Error("random tie-breaking never reached consensus on K3")
 	}
@@ -243,7 +230,7 @@ func TestRedWinsWHPFromMajority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := p.RunQuiet(200)
+		res := runTo(t, p, 200)
 		if !res.Consensus || res.Winner != opinion.Red {
 			t.Errorf("trial %d: consensus=%v winner=%v rounds=%d", trial, res.Consensus, res.Winner, res.Rounds)
 		}
@@ -260,7 +247,7 @@ func TestWithoutReplacementRuleRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.RunQuiet(300)
+	res := runTo(t, p, 300)
 	if !res.Consensus || res.Winner != opinion.Red {
 		t.Errorf("no-replacement variant: %+v", res)
 	}
@@ -283,7 +270,7 @@ func TestEmptyGraphProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.Run(3)
+	res := runTo(t, p, 3)
 	if !res.Consensus || res.Winner != opinion.Red {
 		t.Errorf("empty graph result = %+v", res)
 	}
@@ -297,7 +284,7 @@ func TestMaxRoundsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.Run(7)
+	res := runTo(t, p, 7)
 	if res.Rounds > 7 {
 		t.Errorf("rounds = %d exceeds cap", res.Rounds)
 	}
@@ -310,15 +297,15 @@ func TestAsyncBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := a.Run(500)
+	res := runTo(t, a, 500)
 	if !res.Consensus {
 		t.Fatalf("async no consensus: %+v", res)
 	}
 	if res.Winner != opinion.Red {
 		t.Errorf("async winner = %v", res.Winner)
 	}
-	if a.Sweeps() > 500 {
-		t.Errorf("sweeps = %d over budget", a.Sweeps())
+	if a.Round() > 500 {
+		t.Errorf("sweeps = %d over budget", a.Round())
 	}
 }
 

@@ -1,6 +1,7 @@
 package dynamics_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dynamics"
@@ -11,14 +12,17 @@ import (
 
 // One full Best-of-Three run on a dense random regular graph: a 40% blue
 // start collapses to red consensus in a handful of rounds.
-func ExampleProcess_Run() {
+func ExampleRun() {
 	g := graph.RandomRegular(1024, 64, rng.New(1))
 	init := opinion.RandomConfig(1024, 0.4, rng.New(2))
 	p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: 3, Workers: 1})
 	if err != nil {
 		panic(err)
 	}
-	res := p.Run(100)
+	res, err := dynamics.Run(context.Background(), p, 100, nil)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("consensus:", res.Consensus)
 	fmt.Println("winner:   ", res.Winner)
 	fmt.Println("fast:     ", res.Rounds < 20)

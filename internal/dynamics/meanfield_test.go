@@ -73,9 +73,8 @@ func TestMeanFieldConsensusAbsorbing(t *testing.T) {
 		if got := p.Blues(); got != blues {
 			t.Errorf("absorbed state b=%d drifted to %d", blues, got)
 		}
-		col, ok := p.Consensus()
-		if !ok || (col == opinion.Blue) != (blues == n) {
-			t.Errorf("Consensus() = %v, %v from b=%d", col, ok, blues)
+		if !p.Consensus() || (p.Majority() == opinion.Blue) != (blues == n) {
+			t.Errorf("Consensus() = %v, Majority() = %v from b=%d", p.Consensus(), p.Majority(), blues)
 		}
 	}
 }
@@ -205,7 +204,7 @@ func TestMeanFieldDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Run(50).BlueTrajectory
+		return runTo(t, p, 50).BlueTrajectory
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -13,7 +13,7 @@ func TestStubbornVerticesNeverFlip(t *testing.T) {
 	init := opinion.NewConfig(64) // all red
 	init.Set(0, opinion.Blue)
 	init.Set(1, opinion.Blue)
-	s, err := NewStubborn(g, BestOfThree, init, []int{0, 1}, Options{Seed: 1})
+	s, err := New(g, BestOfThree, init, Options{Seed: 1, Stubborn: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +23,6 @@ func TestStubbornVerticesNeverFlip(t *testing.T) {
 			t.Fatalf("stubborn vertex flipped at round %d", i+1)
 		}
 	}
-	if s.StubbornCount() != 2 {
-		t.Errorf("StubbornCount = %d", s.StubbornCount())
-	}
 }
 
 func TestStubbornRedVerticesHoldRed(t *testing.T) {
@@ -34,11 +31,11 @@ func TestStubbornRedVerticesHoldRed(t *testing.T) {
 	init := opinion.NewConfig(32)
 	init.FillBlue()
 	init.Set(5, opinion.Red)
-	s, err := NewStubborn(g, BestOfThree, init, []int{5}, Options{Seed: 2})
+	s, err := New(g, BestOfThree, init, Options{Seed: 2, Stubborn: []int{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(50)
+	res := runTo(t, s, 50)
 	if res.Consensus {
 		t.Error("consensus impossible with an opposing stubborn vertex")
 	}
@@ -50,18 +47,36 @@ func TestStubbornRedVerticesHoldRed(t *testing.T) {
 func TestStubbornRejectsOutOfRange(t *testing.T) {
 	g := graph.Complete(8)
 	init := opinion.NewConfig(8)
-	if _, err := NewStubborn(g, BestOfThree, init, []int{8}, Options{}); err == nil {
+	if _, err := New(g, BestOfThree, init, Options{Stubborn: []int{8}}); err == nil {
 		t.Error("out-of-range stubborn vertex accepted")
 	}
-	if _, err := NewStubborn(g, BestOfThree, init, []int{-1}, Options{}); err == nil {
+	if _, err := New(g, BestOfThree, init, Options{Stubborn: []int{-1}}); err == nil {
 		t.Error("negative stubborn vertex accepted")
+	}
+}
+
+// TestStubbornEngineSelection: zealots break mean-field exchangeability, so
+// EngineAuto resolves to the general engine on K_n and a forced
+// EngineMeanField is refused.
+func TestStubbornEngineSelection(t *testing.T) {
+	kn := graph.NewKn(64)
+	init := opinion.NewConfig(64)
+	p, err := New(kn, BestOfThree, init, Options{Stubborn: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Engine() != EngineGeneral {
+		t.Errorf("auto with zealots resolved %v, want general", p.Engine())
+	}
+	if _, err := New(kn, BestOfThree, init, Options{Engine: EngineMeanField, Stubborn: []int{3}}); err == nil {
+		t.Error("mean-field engine accepted with zealots")
 	}
 }
 
 func TestStubbornEmptySetBehavesLikePlain(t *testing.T) {
 	g := graph.RandomRegular(128, 8, rng.New(3))
 	init := opinion.RandomConfig(128, 0.3, rng.New(4))
-	s, err := NewStubborn(g, BestOfThree, init, nil, Options{Seed: 5, Workers: 2})
+	s, err := New(g, BestOfThree, init, Options{Seed: 5, Workers: 2, Stubborn: []int{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +99,11 @@ func TestStubbornRunStopsOnConsensusWhenPossible(t *testing.T) {
 	g := graph.Complete(64)
 	init := opinion.RandomConfig(64, 0.2, rng.New(6))
 	init.Set(0, opinion.Red)
-	s, err := NewStubborn(g, BestOfThree, init, []int{0}, Options{Seed: 7})
+	s, err := New(g, BestOfThree, init, Options{Seed: 7, Stubborn: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(500)
+	res := runTo(t, s, 500)
 	if !res.Consensus || res.Winner != opinion.Red {
 		t.Errorf("result = %+v", res)
 	}
@@ -103,11 +118,11 @@ func TestFewStubbornBlueCannotOverturnDenseMajority(t *testing.T) {
 	for _, v := range stub {
 		init.Set(v, opinion.Blue)
 	}
-	s, err := NewStubborn(g, BestOfThree, init, stub, Options{Seed: 10})
+	s, err := New(g, BestOfThree, init, Options{Seed: 10, Stubborn: stub})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := s.Run(100)
+	res := runTo(t, s, 100)
 	finalBlue := res.BlueTrajectory[len(res.BlueTrajectory)-1]
 	if finalBlue > 30 {
 		t.Errorf("final blue count %d: zealots overturned the majority", finalBlue)

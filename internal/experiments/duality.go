@@ -141,7 +141,7 @@ func E18AsyncVsSync(cfg Config) E18Result {
 		if err != nil {
 			panic(err)
 		}
-		r := p.RunQuiet(maxRounds)
+		r := run(p, maxRounds)
 		return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 	})
 	res.Rows = append(res.Rows, E18Row{
@@ -157,7 +157,7 @@ func E18AsyncVsSync(cfg Config) E18Result {
 		if err != nil {
 			panic(err)
 		}
-		r := a.Run(maxRounds)
+		r := run(a, maxRounds)
 		return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 	})
 	res.Rows = append(res.Rows, E18Row{

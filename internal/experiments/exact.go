@@ -59,7 +59,7 @@ func E20ExactChainValidation(cfg Config) E20Result {
 			if err != nil {
 				panic(err)
 			}
-			r := p.RunQuiet(4000)
+			r := run(p, 4000)
 			return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 		})
 		// 99% intervals: a validation table with several rows should not flag
@@ -170,7 +170,7 @@ func E21SpectralComparison(cfg Config) E21Result {
 			if err != nil {
 				panic(err)
 			}
-			r := p.RunQuiet(maxRounds)
+			r := run(p, maxRounds)
 			return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 		})
 

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -133,6 +134,13 @@ func makeGraph(kind GraphKind, n int, alpha float64, src *rng.Source) dynamics.T
 	}
 }
 
+// run drives p through dynamics.Run with no deadline and no observer; a
+// background context never cancels, so the loop cannot fail.
+func run(p dynamics.Dynamic, maxRounds int) dynamics.Result {
+	res, _ := dynamics.Run(context.Background(), p, maxRounds, nil)
+	return res
+}
+
 // runConsensusTrials measures Best-of-k consensus on fresh graphs: each
 // trial generates its own graph (for random families), draws the initial
 // configuration with P(blue) = 1/2 − δ, and runs to consensus or the round
@@ -149,7 +157,7 @@ func runConsensusTrials(cfg Config, kind GraphKind, n int, alpha, delta float64,
 		if err != nil {
 			panic(err) // experiment configs are validated by construction
 		}
-		res := p.RunQuiet(budget)
+		res := run(p, budget)
 		return sim.Outcome{
 			Rounds: float64(res.Rounds),
 			Win:    res.Consensus && res.Winner == opinion.Red,

@@ -54,8 +54,8 @@ func E14PluralityConsensus(cfg Config) E14Result {
 			if err != nil {
 				panic(err)
 			}
-			r := p.Run(maxRounds)
-			return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == 0}
+			r := run(p, maxRounds)
+			return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 		})
 		res.Rows = append(res.Rows, E14Row{
 			Q:             q,
@@ -129,13 +129,13 @@ func E15StubbornZealots(cfg Config) E15Result {
 				stub[j] = src.Intn(n) // duplicates fine; set semantics below
 				init.Set(stub[j], opinion.Blue)
 			}
-			p, err := dynamics.NewStubborn(g, dynamics.BestOfThree, init, stub, dynamics.Options{
-				Seed: src.Uint64(), Workers: 1,
+			p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{
+				Seed: src.Uint64(), Workers: 1, Stubborn: stub,
 			})
 			if err != nil {
 				panic(err)
 			}
-			r := p.Run(rounds)
+			r := run(p, rounds)
 			final := float64(r.BlueTrajectory[len(r.BlueTrajectory)-1]) / float64(n)
 			return sim.Outcome{Rounds: final, Win: final < 0.5}
 		})
@@ -200,7 +200,7 @@ func E16AdversarialPlacement(cfg Config) E16Result {
 				if err != nil {
 					panic(err)
 				}
-				r := p.RunQuiet(budget)
+				r := run(p, budget)
 				return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 			})
 			res.Rows = append(res.Rows, E16Row{

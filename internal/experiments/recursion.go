@@ -59,7 +59,7 @@ func E3IdealRecursion(cfg Config) E3Result {
 		if err != nil {
 			panic(err)
 		}
-		r := p.Run(rounds)
+		r := run(p, rounds)
 		for t := 0; t <= rounds; t++ {
 			var frac float64
 			if t < len(r.BlueTrajectory) {
@@ -136,7 +136,7 @@ func E8DeltaGrowth(cfg Config) E8Result {
 		if err != nil {
 			panic(err)
 		}
-		r := p.Run(rounds)
+		r := run(p, rounds)
 		for t := 0; t <= rounds; t++ {
 			frac := 0.0
 			if t < len(r.BlueTrajectory) {
@@ -227,7 +227,7 @@ func E13PhaseSchedule(cfg Config) E13Result {
 		if err != nil {
 			panic(err)
 		}
-		r := p.Run(rounds)
+		r := run(p, rounds)
 		for t := 0; t <= rounds; t++ {
 			frac := 0.0
 			if t < len(r.BlueTrajectory) {

@@ -41,7 +41,7 @@ func TestEnginesMatchExactChain(t *testing.T) {
 			if p.Engine() != engine {
 				t.Fatalf("requested engine %v, resolved %v", engine, p.Engine())
 			}
-			res := p.RunQuiet(4000)
+			res := runTo(t, p, 4000)
 			if res.Consensus && res.Winner == opinion.Red {
 				redWins++
 			}
@@ -88,7 +88,7 @@ func TestMeanFieldMeanRoundsMatchesChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := float64(p.RunQuiet(4000).Rounds)
+		r := float64(runTo(t, p, 4000).Rounds)
 		sum += r
 		sumSq += r * r
 	}

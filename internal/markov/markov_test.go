@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"repro/internal/opinion"
 	"repro/internal/rng"
 )
+
+// runTo drives p through the shared run loop with no deadline.
+func runTo(t *testing.T, p dynamics.Dynamic, maxRounds int) dynamics.Result {
+	t.Helper()
+	res, err := dynamics.Run(context.Background(), p, maxRounds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestNewPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
@@ -190,7 +201,7 @@ func TestExactMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := p.RunQuiet(2000)
+		res := runTo(t, p, 2000)
 		if res.Consensus && res.Winner == opinion.Red {
 			redWins++
 		}

@@ -1,9 +1,12 @@
 package plurality_test
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/dynamics"
 	"repro/internal/graph"
+	"repro/internal/opinion"
 	"repro/internal/plurality"
 	"repro/internal/rng"
 )
@@ -18,9 +21,13 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res := p.Run(1000)
+	// dynamics.Run reads opinion 0 as Red and every other opinion as Blue.
+	res, err := dynamics.Run(context.Background(), p, 1000, nil)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("consensus:", res.Consensus)
-	fmt.Println("winner is the initial plurality:", res.Winner == 0)
+	fmt.Println("winner is the initial plurality:", res.Winner == opinion.Red)
 	fmt.Println("double-log-fast:", res.Rounds < 30)
 	// Output:
 	// consensus: true

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/opinion"
 	"repro/internal/rng"
 )
 
@@ -211,6 +212,34 @@ func (p *Process) Config() *Config { return p.cur }
 // Round returns the number of completed rounds.
 func (p *Process) Round() int { return p.round }
 
+// Blues returns the number of vertices not holding opinion 0: the
+// two-party blue count when opinion 0 plays Red (exactly that count at
+// q = 2), so dynamics.Run drives this process like the two-party ones.
+func (p *Process) Blues() int {
+	n := 0
+	for _, op := range p.cur.opinions {
+		if op != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Consensus reports whether every vertex holds one opinion.
+func (p *Process) Consensus() bool {
+	_, ok := p.cur.IsConsensus()
+	return ok
+}
+
+// Majority reports Red exactly when opinion 0 is the consensus or current
+// plurality opinion (lowest index on ties), Blue otherwise.
+func (p *Process) Majority() opinion.Colour {
+	if op, _ := p.cur.Plurality(); op == 0 {
+		return opinion.Red
+	}
+	return opinion.Blue
+}
+
 // Step performs one synchronous round.
 func (p *Process) Step() {
 	if p.g.N() == 0 {
@@ -262,29 +291,4 @@ func (p *Process) stepRange(lo, hi int, src *rng.Source) {
 		}
 		p.next.opinions[v] = adopt
 	}
-}
-
-// Result summarises a run.
-type Result struct {
-	Consensus bool
-	Winner    int // consensus opinion, or current plurality at stop
-	Rounds    int
-}
-
-// Run advances until consensus or maxRounds.
-func (p *Process) Run(maxRounds int) Result {
-	for p.round < maxRounds {
-		if op, ok := p.cur.IsConsensus(); ok {
-			return Result{Consensus: true, Winner: op, Rounds: p.round}
-		}
-		p.Step()
-	}
-	res := Result{Rounds: p.round}
-	if op, ok := p.cur.IsConsensus(); ok {
-		res.Consensus = true
-		res.Winner = op
-	} else {
-		res.Winner, _ = p.cur.Plurality()
-	}
-	return res
 }

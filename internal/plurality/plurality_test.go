@@ -1,12 +1,25 @@
 package plurality
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dynamics"
 	"repro/internal/graph"
+	"repro/internal/opinion"
 	"repro/internal/rng"
 )
+
+// runTo drives p through the shared run loop with no deadline.
+func runTo(t *testing.T, p *Process, maxRounds int) dynamics.Result {
+	t.Helper()
+	res, err := dynamics.Run(context.Background(), p, maxRounds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestNewConfigPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
@@ -121,6 +134,33 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestTwoPartyView: opinion 0 plays Red for the run loop. Blues counts
+// every other opinion, Majority asks whether opinion 0 leads, and
+// Consensus means one opinion everywhere, whichever it is.
+func TestTwoPartyView(t *testing.T) {
+	g := graph.Complete(10)
+	c := NewConfig(10, 4)
+	for v, op := range []int{0, 0, 0, 0, 1, 1, 2, 2, 3, 3} {
+		c.Set(v, op)
+	}
+	p, err := New(g, c, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Blues() != 6 || p.Majority() != opinion.Red || p.Consensus() {
+		t.Fatalf("mixed: Blues %d Majority %v Consensus %v", p.Blues(), p.Majority(), p.Consensus())
+	}
+	for v := 0; v < 10; v++ {
+		c.Set(v, 3)
+	}
+	if p, err = New(g, c, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Blues() != 10 || p.Majority() != opinion.Blue || !p.Consensus() {
+		t.Fatalf("consensus on 3: Blues %d Majority %v Consensus %v", p.Blues(), p.Majority(), p.Consensus())
+	}
+}
+
 func TestConsensusAbsorbing(t *testing.T) {
 	g := graph.Complete(16)
 	c := NewConfig(16, 4)
@@ -151,11 +191,11 @@ func TestPluralityWinsOnComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := p.Run(2000)
+		res := runTo(t, p, 2000)
 		if !res.Consensus {
 			t.Fatalf("trial %d: no consensus", trial)
 		}
-		if res.Winner == 0 {
+		if res.Winner == opinion.Red {
 			wins++
 		}
 	}
@@ -174,8 +214,8 @@ func TestQEquals2MatchesTwoPartyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := p.Run(300)
-	if !res.Consensus || res.Winner != 0 {
+	res := runTo(t, p, 300)
+	if !res.Consensus || res.Winner != opinion.Red {
 		t.Errorf("result = %+v", res)
 	}
 	if res.Rounds > 30 {
@@ -191,7 +231,7 @@ func TestTieKeepVsRandomBothConverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := p.Run(5000); !res.Consensus {
+		if res := runTo(t, p, 5000); !res.Consensus {
 			t.Errorf("tie rule %d did not converge", tie)
 		}
 	}
@@ -205,7 +245,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Run(20)
+		runTo(t, p, 20)
 		return p.Config().Counts()
 	}
 	a, b := run(), run()

@@ -134,6 +134,9 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown family": RunRequest{Graph: GraphSpec{Family: "kite", N: 10}, Delta: 0.1},
 		"oversized n":    RunRequest{Graph: GraphSpec{Family: "cycle", N: 1 << 30}, Delta: 0.1},
 		"bad tie rule":   RunRequest{Graph: GraphSpec{Family: "cycle", N: 10}, Delta: 0.1, Rule: &RuleSpec{K: 2, Tie: "coin"}},
+		// One round would draw n·2^40 samples, holding a worker past any
+		// cancellation (which is checked only between rounds).
+		"k above bound": `{"graph":{"family":"random-regular","n":1024,"d":32,"seed":1},"delta":0.1,"rule":{"k":1099511627776}}`,
 	}
 	for name, body := range cases {
 		var buf bytes.Buffer

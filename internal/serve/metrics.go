@@ -157,8 +157,8 @@ func (m *Manager) Registry() *metrics.Registry { return m.reg }
 // AllMetricNames registers every metric family the full service can
 // expose — serve, graph pool, bus, store/fleet — on a throwaway registry
 // and returns the names. This is the source of truth the
-// check-api-docs.sh doc-drift check scrapes (via internal/tools/
-// metricnames) to require each metric documented in docs/API.md.
+// check-api-docs.sh doc-drift check scrapes (via internal/tools/registry)
+// to require each metric documented in docs/API.md.
 func AllMetricNames() []string {
 	reg := metrics.NewRegistry()
 	store.NewMetrics(reg)

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/spec"
 )
 
 func pollSweepDone(t *testing.T, base, id string) SweepView {
@@ -191,6 +193,11 @@ func TestSweepValidation(t *testing.T) {
 			Graphs: []GraphSpec{{Family: "cycle", N: 8}},
 			Deltas: []float64{0.1},
 			Ties:   []string{"coin"},
+		}},
+		"k above bound": {Grid: SweepGrid{
+			Graphs: []GraphSpec{{Family: "cycle", N: 8}},
+			Deltas: []float64{0.1},
+			Ks:     []int{3, spec.MaxK + 1},
 		}},
 	}
 	for name, req := range cases {

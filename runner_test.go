@@ -130,8 +130,8 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 }
 
-// TestRunnerOptions: WithMaxRounds overrides the cap, WithTopology injects
-// a pre-built graph, and the deprecated v1 shim still works.
+// TestRunnerOptions: WithMaxRounds overrides the cap and WithTopology
+// injects a pre-built graph.
 func TestRunnerOptions(t *testing.T) {
 	s := repro.RunSpec{Graph: repro.GraphSpec{Family: "cycle", N: 64}, Delta: 0, Seed: 2}
 	r, err := repro.NewRunner(s, repro.WithMaxRounds(7))
@@ -161,11 +161,6 @@ func TestRunnerOptions(t *testing.T) {
 	}
 	if rep2.GraphName != g.Name() {
 		t.Errorf("report names %q, want injected %q", rep2.GraphName, g.Name())
-	}
-
-	// The v1 shim still runs (deprecated, not removed).
-	if _, err := repro.RunBestOfThree(repro.Complete(64), 0.2, repro.Options{Seed: 1}); err != nil {
-		t.Errorf("v1 shim failed: %v", err)
 	}
 
 	// Invalid specs are rejected at construction.

@@ -6,10 +6,17 @@ import (
 	"repro/internal/dynamics"
 )
 
+// MaxK bounds RuleSpec.K. One round draws n·K samples and cancellation
+// is checked only between rounds, so an unbounded K would let a single
+// request hold a worker indefinitely. The largest K any grid, experiment
+// or example uses is 5; 255 leaves ample room for ablations.
+const MaxK = 255
+
 // RuleSpec selects a Best-of-k protocol declaratively. The zero value (and
 // a nil *RuleSpec) is the paper's Best-of-Three.
 type RuleSpec struct {
-	// K is the sample count; 0 defaults to 3 (the paper's protocol).
+	// K is the sample count, at most MaxK; 0 defaults to 3 (the paper's
+	// protocol).
 	K int `json:"k,omitempty"`
 	// Tie is "keep" (default) or "random"; consulted only for even K.
 	Tie string `json:"tie,omitempty"`
@@ -28,6 +35,9 @@ func (r *RuleSpec) Rule() (dynamics.Rule, error) {
 	out := dynamics.Rule{K: r.K, WithoutReplacement: r.WithoutReplacement, Noise: r.Noise}
 	if out.K == 0 {
 		out.K = 3
+	}
+	if out.K > MaxK {
+		return dynamics.Rule{}, fmt.Errorf("rule: k = %d exceeds the maximum %d", out.K, MaxK)
 	}
 	switch r.Tie {
 	case "", "keep":

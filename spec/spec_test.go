@@ -199,6 +199,7 @@ func TestRunSpecValidate(t *testing.T) {
 		"rounds over cap": func(s *RunSpec) { s.MaxRounds = l.MaxRounds + 1 },
 		"bad tie":         func(s *RunSpec) { s.Rule = &RuleSpec{Tie: "coin"} },
 		"bad noise":       func(s *RunSpec) { s.Rule = &RuleSpec{Noise: 0.9} },
+		"k over bound":    func(s *RunSpec) { s.Rule = &RuleSpec{K: MaxK + 1} },
 		"bad graph":       func(s *RunSpec) { s.Graph.N = 1 },
 	} {
 		s := base
@@ -206,6 +207,11 @@ func TestRunSpecValidate(t *testing.T) {
 		if err := s.ValidateLimits(l); err == nil {
 			t.Errorf("%s: validated", name)
 		}
+	}
+	atBound := base
+	atBound.Rule = &RuleSpec{K: MaxK}
+	if err := atBound.ValidateLimits(l); err != nil {
+		t.Errorf("k = MaxK rejected: %v", err)
 	}
 	var s RunSpec
 	s = base

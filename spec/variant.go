@@ -132,7 +132,7 @@ func init() {
 }
 
 // Variants returns the registered variant names, sorted. CI diffs this
-// list (via internal/tools/specvariants) against the variant table in
+// list (via internal/tools/registry) against the variant table in
 // docs/API.md.
 func Variants() []string {
 	names := make([]string, 0, len(variantDefs))
