@@ -18,7 +18,11 @@
 #   7. every metric family the service registers (go run
 #      ./internal/tools/registry metrics) must appear backticked in the
 #      docs/API.md metrics reference table, so /metrics cannot grow
-#      undocumented series.
+#      undocumented series, and
+#   8. the DESIGN.md "Registry entries as sweep grids" table must give
+#      every sweepable experiment row exactly the grid and round cap the
+#      registry publishes (go run ./internal/tools/registry grids), with
+#      no row missing and none extra.
 # Also gates the spec layer with go vet + gofmt so a drifted or
 # unformatted spec/cli package fails the same check.
 set -eu
@@ -210,7 +214,41 @@ done <<EOF
 $metric_names
 EOF
 
-# --- 8. vet + gofmt gate over the spec layer ---------------------------
+# --- 8. Sweep-grid table vs the experiment registry --------------------
+# Documented grids: in the table headed "| ID | Sweep grid ...", each row
+# whose second cell opens with a backticked JSON object, rendered as
+# "<id> <json>" like the registry's lines. Library-only rows carry no JSON
+# and are skipped.
+doc_grids=$(awk '
+    /^\| ID \| Sweep grid/ { in_table = 1; next }
+    in_table && /^\|-/ { next }
+    in_table && /^\| E[0-9]+ +\| `\{/ {
+        split($0, cells, "|")
+        id = cells[2]
+        gsub(/ /, "", id)
+        body = $0
+        sub(/^[^`]*`/, "", body)
+        sub(/`.*$/, "", body)
+        print id " " body
+        next
+    }
+    in_table && /^\|/ { next }
+    in_table { exit }
+' DESIGN.md | sort)
+reg_grids=$(go run ./internal/tools/registry grids | sort)
+if [ -z "$doc_grids" ]; then
+    echo "check-api-docs: no sweep-grid rows found in DESIGN.md (pattern drift?)" >&2
+    status=1
+elif [ "$doc_grids" != "$reg_grids" ]; then
+    echo "check-api-docs: DESIGN.md sweep-grid table disagrees with the experiment registry:" >&2
+    echo "--- registry (go run ./internal/tools/registry grids)" >&2
+    echo "$reg_grids" >&2
+    echo "--- DESIGN.md table" >&2
+    echo "$doc_grids" >&2
+    status=1
+fi
+
+# --- 9. vet + gofmt gate over the spec layer ---------------------------
 go vet ./spec/... ./internal/cli/... || status=1
 unformatted=$(gofmt -l spec internal/cli)
 if [ -n "$unformatted" ]; then

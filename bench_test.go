@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // One benchmark per reproduction experiment (E1–E13 in DESIGN.md), plus
 // ablation benches for the design choices DESIGN.md calls out. Each
@@ -10,6 +10,7 @@ import (
 	"context"
 	"testing"
 
+	"repro"
 	"repro/internal/dynamics"
 	"repro/internal/experiments"
 	"repro/internal/graph"
@@ -96,8 +97,8 @@ func BenchmarkE8DeltaGrowth(b *testing.B) {
 func BenchmarkE9BaselineComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.E9BaselineComparison(benchCfg(i))
-		voter := res.MeanRoundsFor("best-of-1", experiments.KindComplete)
-		bo3 := res.MeanRoundsFor("best-of-3", experiments.KindComplete)
+		voter := res.MeanRoundsFor("best-of-1", "complete-virtual")
+		bo3 := res.MeanRoundsFor("best-of-3", "complete-virtual")
 		if bo3 > 0 {
 			b.ReportMetric(voter/bo3, "voter/bo3-speedup")
 		}
@@ -109,10 +110,10 @@ func BenchmarkE10DensityGate(b *testing.B) {
 		res := experiments.E10DensityGate(benchCfg(i))
 		var dense, sparse float64
 		for _, row := range res.Rows {
-			if row.Kind == experiments.KindRegular {
+			if row.DenseClass {
 				dense = row.MeanRounds
 			}
-			if row.Kind == experiments.KindTorus {
+			if row.Family == "cycle" {
 				sparse = row.MeanRounds
 			}
 		}
@@ -184,7 +185,7 @@ func BenchmarkE17ForwardBackwardDuality(b *testing.B) {
 func BenchmarkE18AsyncVsSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.E18AsyncVsSync(benchCfg(i))
-		if len(res.Rows) == 2 && res.Rows[0].MeanRounds > 0 {
+		if res.Rows[0].MeanRounds > 0 {
 			b.ReportMetric(res.Rows[1].MeanRounds/res.Rows[0].MeanRounds, "async/sync-ratio")
 		}
 	}
@@ -194,7 +195,7 @@ func BenchmarkE19NoiseThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.E19NoiseThreshold(benchCfg(i))
 		last := res.Rows[len(res.Rows)-1]
-		b.ReportMetric(last.FinalBlueFrac, "blue-frac@noise0.5")
+		b.ReportMetric(last.FinalBlueFrac, "blue-frac@maxNoise")
 	}
 }
 
@@ -266,14 +267,14 @@ func BenchmarkAblationVirtualVsMaterialisedComplete(b *testing.B) {
 }
 
 func BenchmarkEndToEndConsensus(b *testing.B) {
-	gs := GraphSpec{Family: "random-regular", N: 1 << 14, D: 128, Seed: 4}
+	gs := repro.GraphSpec{Family: "random-regular", N: 1 << 14, D: 128, Seed: 4}
 	g, err := gs.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewRunner(RunSpec{Graph: gs, Delta: 0.05, Seed: uint64(i)}, WithTopology(g))
+		r, err := repro.NewRunner(repro.RunSpec{Graph: gs, Delta: 0.05, Seed: uint64(i)}, repro.WithTopology(g))
 		if err != nil {
 			b.Fatal(err)
 		}

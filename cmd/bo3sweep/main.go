@@ -50,38 +50,39 @@ type runner struct {
 	run func(experiments.Config) *table.Table
 }
 
-// replayGrid resolves the grid a -serve session replays:
-// a named registry grid, or the load-test grid over the topology the
-// shared family flags select.
-func replayGrid(gf *cli.GraphFlags, cfg experiments.Config, gridID, variants string, quick bool, trials int) (serve.SweepGrid, error) {
-	grid, err := baseGrid(gf, cfg, gridID, quick, trials)
+// replayGrid resolves the sweep request -serve submits: a named
+// registry row (its grid and round cap), or the load-test grid over the
+// topology the shared family flags select, with the -variants override
+// applied.
+func replayGrid(gf *cli.GraphFlags, cfg experiments.Config, gridID, variants string, quick bool, trials int) (serve.SweepRequest, error) {
+	req, err := baseGrid(gf, cfg, gridID, quick, trials)
 	if err != nil {
-		return serve.SweepGrid{}, err
+		return serve.SweepRequest{}, err
 	}
 	if variants != "" {
 		vs, err := cli.ParseVariants(variants)
 		if err != nil {
-			return serve.SweepGrid{}, err
+			return serve.SweepRequest{}, err
 		}
-		grid.Variants = vs
+		req.Grid.Variants = vs
 	}
-	return grid, nil
+	return req, nil
 }
 
-// baseGrid resolves the grid before the -variants override: a named
-// registry grid, or the load-test grid over the selected topology.
-func baseGrid(gf *cli.GraphFlags, cfg experiments.Config, gridID string, quick bool, trials int) (serve.SweepGrid, error) {
+// baseGrid resolves the sweep before the -variants override: a named
+// registry row, or the load-test grid over the selected topology.
+func baseGrid(gf *cli.GraphFlags, cfg experiments.Config, gridID string, quick bool, trials int) (serve.SweepRequest, error) {
 	if gridID != "" {
-		grid, ok := experiments.Grids(cfg)[strings.ToUpper(gridID)]
+		row, ok := experiments.Grids(cfg)[strings.ToUpper(gridID)]
 		if !ok {
-			return serve.SweepGrid{}, fmt.Errorf("unknown registry grid %q (sweepable: %s)",
+			return serve.SweepRequest{}, fmt.Errorf("unknown registry grid %q (sweepable: %s)",
 				gridID, strings.Join(experiments.GridIDs(cfg), ", "))
 		}
-		return grid, nil
+		return serve.SweepRequest{Grid: row.Grid, MaxRounds: row.MaxRounds}, nil
 	}
 	template, err := gf.Spec(cfg.Seed)
 	if err != nil {
-		return serve.SweepGrid{}, err
+		return serve.SweepRequest{}, err
 	}
 	if trials <= 0 {
 		trials = 20
@@ -89,7 +90,7 @@ func baseGrid(gf *cli.GraphFlags, cfg experiments.Config, gridID string, quick b
 			trials = 8
 		}
 	}
-	return experiments.LoadTestGrid(template, quick, trials), nil
+	return serve.SweepRequest{Grid: experiments.LoadTestGrid(template, quick, trials)}, nil
 }
 
 func main() {
@@ -103,7 +104,7 @@ func main() {
 		only     = flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 		csvDir   = flag.String("csv", "", "directory to write per-experiment CSV files")
 		trials   = flag.Int("trials", 0, "override trial count")
-		maxN     = flag.Int("maxn", 0, "override largest graph size")
+		maxN     = flag.Int("maxn", 0, "override largest graph size (at least 1024)")
 		seed     = flag.Uint64("seed", 1, "experiment seed")
 		workers  = flag.Int("workers", 0, "harness parallelism (0 = GOMAXPROCS)")
 		serveURL = flag.String("serve", "", "bo3serve base URL: replay the grid as one server-side /v1/sweeps request")
@@ -122,17 +123,23 @@ func main() {
 		cfg.Trials = *trials
 	}
 	if *maxN > 0 {
+		// The registry grids' size axis starts at 2^10; below it their
+		// fixed-degree and fixed-p topologies stop being valid graphs.
+		if *maxN < 1<<10 {
+			log.Fatalf("-maxn %d is below the registry grids' smallest size %d", *maxN, 1<<10)
+		}
 		cfg.MaxN = *maxN
 	}
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 
 	if *serveURL != "" {
-		grid, err := replayGrid(gf, cfg, *gridID, *variants, *quick, *trials)
+		req, err := replayGrid(gf, cfg, *gridID, *variants, *quick, *trials)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sweepTest(*serveURL, grid, *conc, *seed, *watch); err != nil {
+		req.Seed, req.Concurrency = *seed, *conc
+		if err := sweepTest(*serveURL, req, *watch); err != nil {
 			log.Fatal(err)
 		}
 		return

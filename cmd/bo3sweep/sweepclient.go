@@ -28,27 +28,20 @@ func cellSize(g serve.GraphSpec) int {
 	return g.N
 }
 
-// sweepTest replays the grid through a running bo3serve instance as ONE
-// server-side sweep: a single POST /v1/sweeps expands it into child runs
-// on the server, and the NDJSON results stream is tailed until the final
-// aggregate arrives — no per-cell round-trips and no polling. With watch
-// set it also
+// sweepTest replays the request through a running bo3serve instance as
+// ONE server-side sweep: a single POST /v1/sweeps expands its grid into
+// child runs on the server, and the NDJSON results stream is tailed until
+// the final aggregate arrives — no per-cell round-trips and no polling.
+// The grid is one spec.Grid end to end: the same type the experiment
+// registry publishes and the server expands. Its topology templates keep
+// one seed per family on purpose: every δ-cell after the first reuses the
+// pooled graph. With watch set it also
 // attaches an SSE subscriber to the sweep's event topic and prints live
 // round-level telemetry to stderr while the results stream runs.
-func sweepTest(base string, grid serve.SweepGrid, concurrency int, seed uint64, watch bool) error {
+func sweepTest(base string, req serve.SweepRequest, watch bool) error {
 	client := &http.Client{Timeout: 10 * time.Minute}
 	if err := checkHealth(client, base); err != nil {
 		return err
-	}
-
-	req := serve.SweepRequest{
-		// One spec.Grid end to end: the same type the experiment registry
-		// publishes and the server expands. Topology templates keep one
-		// seed per family on purpose: every δ-cell after the first reuses
-		// the pooled graph.
-		Grid:        grid,
-		Seed:        seed,
-		Concurrency: concurrency,
 	}
 
 	start := time.Now()
@@ -85,7 +78,7 @@ func sweepTest(base string, grid serve.SweepGrid, concurrency int, seed uint64, 
 		return fmt.Errorf("results stream returned %s", stream.Status)
 	}
 
-	t := table.New(fmt.Sprintf("bo3serve sweep %s against %s (%s)", accepted.ID, base, grid.Graphs[0].Family),
+	t := table.New(fmt.Sprintf("bo3serve sweep %s against %s (%s)", accepted.ID, base, req.Grid.Graphs[0].Family),
 		"graph", "n", "delta", "state", "red wins", "consensus", "mean rounds", "cache hit")
 	var final *serve.SweepView
 	failures, totalTrials := 0, 0

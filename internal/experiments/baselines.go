@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"repro/internal/cobra"
-	"repro/internal/dynamics"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/votingdag"
@@ -17,65 +15,44 @@ import (
 // E9Row is one protocol on one topology.
 type E9Row struct {
 	Rule        string
-	Kind        GraphKind
-	N           int
+	Family      string
+	Graph       string
 	MeanRounds  float64
 	RedWins     stats.Proportion
-	ConsensusOK float64 // fraction of trials reaching consensus in budget
+	ConsensusOK float64 // fraction of trials reaching consensus within the cap
 }
 
 // E9Result compares Best-of-1/2/3/5 on the same workloads.
 type E9Result struct {
-	Delta float64
-	Rows  []E9Row
+	Delta     float64
+	MaxRounds int
+	Rows      []E9Row
 }
 
-// E9BaselineComparison reproduces the introduction's comparison: the voter
-// model (Best-of-1) reaches consensus slowly and wins only in proportion to
-// the initial share, while Best-of-2/3 amplify the majority and converge in
-// double-log time.
+// E9BaselineComparison reproduces the introduction's comparison over the
+// E9 registry grid: the voter model (Best-of-1) reaches consensus slowly
+// and wins only in proportion to the initial share, while Best-of-2/3
+// amplify the majority and converge in double-log time.
 func E9BaselineComparison(cfg Config) E9Result {
-	const delta = 0.1
-	res := E9Result{Delta: delta}
-	n := cfg.MaxN
-	rules := []dynamics.Rule{dynamics.Voter, dynamics.BestOfTwo, dynamics.BestOfThree, {K: 5}}
-	// The voter model needs Θ(n) rounds on dense graphs; cap its budget so
-	// the experiment terminates and report the consensus fraction honestly.
-	budgets := map[int]int{1: 6 * n, 2: maxRounds, 3: maxRounds, 5: maxRounds}
-	for _, kind := range []GraphKind{KindComplete, KindRegular} {
-		for _, rule := range rules {
-			// The voter model needs ~n rounds per trial (coalescing time),
-			// three orders of magnitude more work than Best-of-k; a quarter
-			// of the trials keeps its row affordable without blurring the
-			// orders-of-magnitude comparison.
-			ruleCfg := cfg
-			if rule.K == 1 {
-				ruleCfg.Trials = max(6, cfg.Trials/4)
-			}
-			outs := runConsensusTrials(ruleCfg, kind, n, 0.6, delta, rule, budgets[rule.K])
-			consensus := 0
-			for _, o := range outs {
-				if o.Rounds < float64(budgets[rule.K]) {
-					consensus++
-				}
-			}
-			res.Rows = append(res.Rows, E9Row{
-				Rule:        rule.Name(),
-				Kind:        kind,
-				N:           n,
-				MeanRounds:  stats.Summarize(sim.RoundsOf(outs)).Mean,
-				RedWins:     stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
-				ConsensusOK: float64(consensus) / float64(len(outs)),
-			})
-		}
+	var res E9Result
+	for _, rep := range runSweep(cfg, "E9") {
+		res.Delta, res.MaxRounds = rep.Spec.Delta, rep.Spec.MaxRounds
+		res.Rows = append(res.Rows, E9Row{
+			Rule:        rep.RuleName,
+			Family:      rep.Spec.Graph.Family,
+			Graph:       rep.GraphName,
+			MeanRounds:  rep.MeanRounds,
+			RedWins:     redWins(rep),
+			ConsensusOK: consensusFraction(rep),
+		})
 	}
 	return res
 }
 
-// MeanRoundsFor returns the mean rounds of one (rule, kind) row, or NaN.
-func (r E9Result) MeanRoundsFor(rule string, kind GraphKind) float64 {
+// MeanRoundsFor returns the mean rounds of one (rule, family) row, or NaN.
+func (r E9Result) MeanRoundsFor(rule, family string) float64 {
 	for _, row := range r.Rows {
-		if row.Rule == rule && row.Kind == kind {
+		if row.Rule == rule && row.Family == family {
 			return row.MeanRounds
 		}
 	}
@@ -85,18 +62,18 @@ func (r E9Result) MeanRoundsFor(rule string, kind GraphKind) float64 {
 // Table renders the result.
 func (r E9Result) Table() *table.Table {
 	t := table.New(
-		fmt.Sprintf("E9 (baselines): protocol comparison at delta=%.2f", r.Delta),
-		"protocol", "family", "n", "mean rounds", "red wins", "consensus frac")
+		fmt.Sprintf("E9 (baselines): protocol comparison at delta=%.2f, %d-round cap", r.Delta, r.MaxRounds),
+		"protocol", "graph", "mean rounds", "red wins", "consensus frac")
 	for _, row := range r.Rows {
-		t.AddRow(row.Rule, row.Kind.String(), row.N, row.MeanRounds, row.RedWins.P, row.ConsensusOK)
+		t.AddRow(row.Rule, row.Graph, row.MeanRounds, row.RedWins.P, row.ConsensusOK)
 	}
 	return t
 }
 
 // E10Row is one topology of the density-gate experiment.
 type E10Row struct {
-	Kind       GraphKind
-	N          int
+	Family     string
+	Graph      string
 	MinDegree  int
 	Alpha      float64
 	MeanRounds float64
@@ -107,35 +84,29 @@ type E10Row struct {
 // E10Result is the density-gate experiment: Theorem 1's d = n^Ω(1/loglog n)
 // requirement.
 type E10Result struct {
-	Rows []E10Row
+	Delta float64
+	Rows  []E10Row
 }
 
-// E10DensityGate runs Best-of-Three at the same (n, δ) on graphs inside and
-// outside the paper's dense class. Dense graphs must finish in near-double-
-// log rounds with red winning; constant-degree graphs converge much more
-// slowly (and on the cycle, often to the wrong opinion locally — blue
-// enclaves survive for a long time).
+// E10DensityGate runs the E10 registry grid: Best-of-Three at the same
+// (n, δ) on graphs inside and outside the paper's dense class, classified
+// by the instance's own precondition check. Dense graphs must finish in
+// near-double-log rounds with red winning; constant-degree graphs converge
+// much more slowly (and on the cycle, often to the wrong opinion locally —
+// blue enclaves survive for a long time).
 func E10DensityGate(cfg Config) E10Result {
-	const delta = 0.1
-	n := cfg.MaxN
 	var res E10Result
-	for _, kind := range []GraphKind{KindComplete, KindRegular, KindHypercube, KindTorus, KindCycle} {
-		outs := runConsensusTrials(cfg, kind, n, 0.6, delta, dynamics.BestOfThree, 0)
-		src := rng.New(cfg.Seed)
-		g := makeGraph(kind, n, 0.6, src)
-		minDeg := g.MinDegree()
-		alpha := 0.0
-		if minDeg > 0 && g.N() > 1 {
-			alpha = math.Log(float64(minDeg)) / math.Log(float64(g.N()))
-		}
+	for _, rep := range runSweep(cfg, "E10") {
+		pre := rep.Precondition
+		res.Delta = rep.Spec.Delta
 		res.Rows = append(res.Rows, E10Row{
-			Kind:       kind,
-			N:          g.N(),
-			MinDegree:  minDeg,
-			Alpha:      alpha,
-			MeanRounds: stats.Summarize(sim.RoundsOf(outs)).Mean,
-			RedWins:    stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
-			DenseClass: kind == KindComplete || kind == KindRegular,
+			Family:     rep.Spec.Graph.Family,
+			Graph:      rep.GraphName,
+			MinDegree:  pre.MinDegree,
+			Alpha:      pre.Alpha,
+			MeanRounds: rep.MeanRounds,
+			RedWins:    redWins(rep),
+			DenseClass: pre.DenseEnough,
 		})
 	}
 	return res
@@ -144,10 +115,10 @@ func E10DensityGate(cfg Config) E10Result {
 // Table renders the result.
 func (r E10Result) Table() *table.Table {
 	t := table.New(
-		"E10 (density gate): Best-of-3 inside vs outside the dense class, delta=0.1",
-		"family", "n", "min degree", "alpha", "mean rounds", "red wins", "in dense class")
+		fmt.Sprintf("E10 (density gate): Best-of-3 inside vs outside the dense class, delta=%.2f", r.Delta),
+		"graph", "min degree", "alpha", "mean rounds", "red wins", "in dense class")
 	for _, row := range r.Rows {
-		t.AddRow(row.Kind.String(), row.N, row.MinDegree, row.Alpha, row.MeanRounds, row.RedWins.P, row.DenseClass)
+		t.AddRow(row.Graph, row.MinDegree, row.Alpha, row.MeanRounds, row.RedWins.P, row.DenseClass)
 	}
 	return t
 }

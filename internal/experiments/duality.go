@@ -107,8 +107,9 @@ func (r E17Result) Table() *table.Table {
 	return t
 }
 
-// E18Row is one activation model.
+// E18Row is one (δ, activation model) cell.
 type E18Row struct {
+	Delta      float64
 	Model      string
 	MeanRounds float64 // synchronous rounds / asynchronous sweeps
 	RedWins    stats.Proportion
@@ -116,114 +117,76 @@ type E18Row struct {
 
 // E18Result contrasts synchronous rounds with asynchronous sweeps.
 type E18Result struct {
-	N, D int
-	Rows []E18Row
+	Graph string
+	Rows  []E18Row
 }
 
-// E18AsyncVsSync runs Best-of-Three under both activation models on the
-// same dense workload. One asynchronous sweep (n single-vertex updates)
-// plays the role of one synchronous round; the asynchronous variant is
-// expected to be in the same double-log regime, with a modest constant
-// penalty because late updaters see a mix of old and new opinions.
+// E18AsyncVsSync runs the E18 registry grid: Best-of-Three under both
+// activation models on the same dense instance, at each δ. One
+// asynchronous sweep (n single-vertex updates) plays the role of one
+// synchronous round; the asynchronous variant is expected to be in the
+// same double-log regime, with a modest constant penalty because late
+// updaters see a mix of old and new opinions.
 func E18AsyncVsSync(cfg Config) E18Result {
-	n := cfg.MaxN
-	d := int(math.Ceil(math.Pow(float64(n), 0.6)))
-	if (n*d)%2 != 0 {
-		d++
+	var res E18Result
+	for _, rep := range runSweep(cfg, "E18") {
+		res.Graph = rep.GraphName
+		res.Rows = append(res.Rows, E18Row{
+			Delta:      rep.Spec.Delta,
+			Model:      rep.Spec.VariantName(),
+			MeanRounds: rep.MeanRounds,
+			RedWins:    redWins(rep),
+		})
 	}
-	const delta = 0.1
-	res := E18Result{N: n, D: d}
-
-	syncOuts := sim.RunOutcomes(cfg.Trials, cfg.Seed+1, cfg.Workers, func(i int, s *rng.Source) sim.Outcome {
-		g := graph.RandomRegular(n, d, s)
-		init := opinion.RandomConfig(n, 0.5-delta, s)
-		p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: s.Uint64(), Workers: 1})
-		if err != nil {
-			panic(err)
-		}
-		r := run(p, maxRounds)
-		return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
-	})
-	res.Rows = append(res.Rows, E18Row{
-		Model:      "synchronous (rounds)",
-		MeanRounds: stats.Summarize(sim.RoundsOf(syncOuts)).Mean,
-		RedWins:    stats.WilsonInterval(sim.Wins(syncOuts), len(syncOuts), 1.96),
-	})
-
-	asyncOuts := sim.RunOutcomes(cfg.Trials, cfg.Seed+2, cfg.Workers, func(i int, s *rng.Source) sim.Outcome {
-		g := graph.RandomRegular(n, d, s)
-		init := opinion.RandomConfig(n, 0.5-delta, s)
-		a, err := dynamics.NewAsync(g, dynamics.BestOfThree, init, s.Uint64())
-		if err != nil {
-			panic(err)
-		}
-		r := run(a, maxRounds)
-		return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
-	})
-	res.Rows = append(res.Rows, E18Row{
-		Model:      "asynchronous (sweeps)",
-		MeanRounds: stats.Summarize(sim.RoundsOf(asyncOuts)).Mean,
-		RedWins:    stats.WilsonInterval(sim.Wins(asyncOuts), len(asyncOuts), 1.96),
-	})
 	return res
 }
 
 // Table renders the result.
 func (r E18Result) Table() *table.Table {
 	t := table.New(
-		fmt.Sprintf("E18 (extension): activation models on regular n=%d d=%d, delta=0.1", r.N, r.D),
-		"model", "mean rounds/sweeps", "red wins")
+		fmt.Sprintf("E18 (extension): activation models on %s", r.Graph),
+		"delta", "model", "mean rounds/sweeps", "red wins")
 	for _, row := range r.Rows {
-		t.AddRow(row.Model, row.MeanRounds, row.RedWins.P)
+		t.AddRow(row.Delta, row.Model, row.MeanRounds, row.RedWins.P)
 	}
 	return t
 }
 
-// E19Row is one noise level.
+// E19Row is one (graph, dynamic, noise) cell.
 type E19Row struct {
+	Graph         string
+	Model         string
 	Noise         float64
-	FinalBlueFrac float64
+	FinalBlueFrac float64 // mean blue fraction when the run stopped
 	RedDominates  stats.Proportion
 }
 
 // E19Result is the communication-noise experiment.
 type E19Result struct {
-	N, D int
-	Rows []E19Row
+	Delta     float64
+	MaxRounds int
+	Rows      []E19Row
 }
 
-// E19NoiseThreshold sweeps the per-sample misreporting probability. The
-// noiseless dynamic drives blue mass to 0; with noise η, the all-red state
-// leaks ~3η(1−η)² per vertex per round, so the stationary blue mass grows
-// with η and majority dominance finally breaks near η = 1/2. The
-// experiment locates the practical threshold on a dense graph.
+// E19NoiseThreshold runs the E19 registry grid, sweeping the per-sample
+// misreporting probability on the complete and a regular graph under both
+// activation models. The noiseless dynamic drives blue mass to 0; with
+// noise η the all-red state leaks ~3η²(1−η) blue per vertex per round, so
+// the blue mass when the run stops (consensus or the row's round cap)
+// grows with η, and past η = 1/6 — where the noisy mean-field map
+// b ↦ maj₃((1−η)b + η(1−b)) is left with 1/2 as its only stable fixed
+// point — it settles at 1/2.
 func E19NoiseThreshold(cfg Config) E19Result {
-	n := cfg.MaxN
-	d := int(math.Ceil(math.Pow(float64(n), 0.6)))
-	if (n*d)%2 != 0 {
-		d++
-	}
-	const delta = 0.1
-	const rounds = 50
-	res := E19Result{N: n, D: d}
-	for _, noise := range []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		outs := sim.RunOutcomes(cfg.Trials, cfg.Seed+uint64(noise*1000), cfg.Workers, func(i int, s *rng.Source) sim.Outcome {
-			g := graph.RandomRegular(n, d, s)
-			init := opinion.RandomConfig(n, 0.5-delta, s)
-			p, err := dynamics.New(g, dynamics.Rule{K: 3, Noise: noise}, init, dynamics.Options{Seed: s.Uint64(), Workers: 1})
-			if err != nil {
-				panic(err)
-			}
-			for t := 0; t < rounds; t++ {
-				p.Step()
-			}
-			frac := p.Config().BlueFraction()
-			return sim.Outcome{Rounds: frac, Win: frac < 0.25}
-		})
+	var res E19Result
+	for _, rep := range runSweep(cfg, "E19") {
+		finals := finalBlue(rep)
+		res.Delta, res.MaxRounds = rep.Spec.Delta, rep.Spec.MaxRounds
 		res.Rows = append(res.Rows, E19Row{
-			Noise:         noise,
-			FinalBlueFrac: stats.Summarize(sim.RoundsOf(outs)).Mean,
-			RedDominates:  stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
+			Graph:         rep.GraphName,
+			Model:         rep.Spec.VariantName(),
+			Noise:         rep.Spec.Rule.Noise,
+			FinalBlueFrac: stats.Summarize(finals).Mean,
+			RedDominates:  shareBelow(finals, 0.25),
 		})
 	}
 	return res
@@ -232,10 +195,10 @@ func E19NoiseThreshold(cfg Config) E19Result {
 // Table renders the result.
 func (r E19Result) Table() *table.Table {
 	t := table.New(
-		fmt.Sprintf("E19 (extension): per-sample noise on regular n=%d d=%d, delta=0.1, 50 rounds", r.N, r.D),
-		"noise", "final blue frac", "red dominates (<25%% blue)")
+		fmt.Sprintf("E19 (extension): per-sample noise, delta=%.2f, %d-round cap", r.Delta, r.MaxRounds),
+		"graph", "model", "noise", "final blue frac", "red dominates (<25% blue)")
 	for _, row := range r.Rows {
-		t.AddRow(row.Noise, row.FinalBlueFrac, row.RedDominates.P)
+		t.AddRow(row.Graph, row.Model, row.Noise, row.FinalBlueFrac, row.RedDominates.P)
 	}
 	return t
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/table"
+	"repro/spec"
 )
 
 // E20Row is one (n, pBlue) point.
@@ -39,13 +40,14 @@ type E20Result struct {
 // absorption time of Best-of-Three on K_n (by iterating the full blue-count
 // distribution) and checks the simulator lands inside the implied
 // confidence band. This pins the simulator to ground truth with no
-// asymptotics involved — the general per-vertex engine is forced, because
-// the mean-field fast path samples the exact chain's own kernel and would
-// make the validation circular (the fast path itself is pinned against
-// both in internal/markov's engine tests).
+// asymptotics involved. Each point is one RunSpec through repro.Runner on
+// the general per-vertex engine: the mean-field fast path samples the
+// exact chain's own kernel and would make the validation circular (the
+// fast path itself is pinned against both in internal/markov's engine
+// tests).
 func E20ExactChainValidation(cfg Config) E20Result {
 	var res E20Result
-	for _, c := range []struct {
+	for i, c := range []struct {
 		n     int
 		pBlue float64
 	}{{64, 0.40}, {64, 0.50}, {256, 0.45}, {256, 0.50}, {1024, 0.47}} {
@@ -53,25 +55,24 @@ func E20ExactChainValidation(cfg Config) E20Result {
 		abs := chain.Absorb(chain.InitialDistribution(c.pBlue), 1e-12, 4000)
 
 		trials := cfg.Trials * 5
-		outs := sim.RunOutcomes(trials, cfg.Seed+uint64(c.n), cfg.Workers, func(i int, s *rng.Source) sim.Outcome {
-			init := opinion.RandomConfig(c.n, c.pBlue, s)
-			p, err := dynamics.New(graph.NewKn(c.n), dynamics.BestOfThree, init, dynamics.Options{Seed: s.Uint64(), Workers: 1, Engine: dynamics.EngineGeneral})
-			if err != nil {
-				panic(err)
-			}
-			r := run(p, 4000)
-			return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
+		rep := runSpec(cfg, spec.RunSpec{
+			Graph:     spec.GraphSpec{Family: "complete-virtual", N: c.n},
+			Delta:     0.5 - c.pBlue,
+			Trials:    trials,
+			MaxRounds: 4000,
+			Seed:      rng.ChildSeed(cfg.Seed, uint64(i)),
+			Engine:    "general",
 		})
 		// 99% intervals: a validation table with several rows should not flag
 		// the expected one-in-twenty 95%-CI misses as disagreement.
-		prop := stats.WilsonInterval(sim.Wins(outs), trials, 2.576)
+		prop := stats.WilsonInterval(rep.RedWins, trials, 2.576)
 		res.Rows = append(res.Rows, E20Row{
 			N:              c.n,
 			PBlue:          c.pBlue,
 			ExactRedWin:    abs.RedWins,
 			ExactMeanT:     abs.MeanRounds,
 			SimRedWin:      prop,
-			SimMeanT:       stats.Summarize(sim.RoundsOf(outs)).Mean,
+			SimMeanT:       rep.MeanRounds,
 			WithinInterval: prop.Lo <= abs.RedWins && abs.RedWins <= prop.Hi,
 		})
 	}

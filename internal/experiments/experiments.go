@@ -3,18 +3,22 @@
 // Each experiment is a pure function of a Config and returns both the
 // structured measurements and a rendered table, so the same code backs the
 // cmd/bo3sweep CLI, the root-level benchmarks, and EXPERIMENTS.md.
+//
+// Rows that sweep the forward dynamic over spec-describable cells take
+// their cells from Grids — the one definition bo3serve replays — and run
+// them through repro.Runner, the Runner POST /v1/sweeps uses; the
+// complete-graph trajectory rows run one RunSpec each through the same
+// Runner. Only rows that need a non-i.i.d. start, one vertex's opinion, or
+// graphs outside the spec registry (E16, E17, E21) drive the engine
+// directly.
 package experiments
 
 import (
 	"context"
-	"fmt"
-	"math"
 
+	"repro"
 	"repro/internal/dynamics"
-	"repro/internal/graph"
-	"repro/internal/opinion"
-	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Config scales an experiment. The zero value is not valid; use Default or
@@ -38,101 +42,10 @@ func Default() Config { return Config{Trials: 40, MaxN: 1 << 13, Seed: 1} }
 // (sub-second per experiment).
 func Quick() Config { return Config{Trials: 12, MaxN: 1 << 11, Seed: 1} }
 
-// maxRounds is the per-trial round budget: far above any double-log
-// prediction, so hitting it signals non-convergence rather than truncation.
+// maxRounds is the per-trial round budget of the directly driven rows: far
+// above any double-log prediction, so hitting it signals non-convergence
+// rather than truncation.
 const maxRounds = 4000
-
-// GraphKind selects a topology family for the dynamics experiments.
-type GraphKind int
-
-const (
-	// KindRegular is a random d-regular graph with d = n^alpha.
-	KindRegular GraphKind = iota
-	// KindGnp is an Erdős–Rényi graph with p = n^(alpha-1).
-	KindGnp
-	// KindComplete is the (virtual) complete graph.
-	KindComplete
-	// KindTorus is the 2D torus (constant degree 4): outside the paper's
-	// dense class; used by the density-gate experiment.
-	KindTorus
-	// KindCycle is the n-cycle (constant degree 2).
-	KindCycle
-	// KindHypercube is the log n-degree hypercube.
-	KindHypercube
-)
-
-// String implements fmt.Stringer.
-func (k GraphKind) String() string {
-	switch k {
-	case KindRegular:
-		return "regular"
-	case KindGnp:
-		return "gnp"
-	case KindComplete:
-		return "complete"
-	case KindTorus:
-		return "torus"
-	case KindCycle:
-		return "cycle"
-	case KindHypercube:
-		return "hypercube"
-	default:
-		return fmt.Sprintf("GraphKind(%d)", int(k))
-	}
-}
-
-// makeGraph builds a family member with n vertices and density exponent
-// alpha (ignored by the constant-degree and complete families). The
-// returned topology satisfies dynamics.Topology.
-func makeGraph(kind GraphKind, n int, alpha float64, src *rng.Source) dynamics.Topology {
-	switch kind {
-	case KindRegular:
-		d := int(math.Ceil(math.Pow(float64(n), alpha)))
-		if d >= n {
-			return graph.NewKn(n)
-		}
-		if (n*d)%2 != 0 {
-			d++
-		}
-		if d >= n {
-			return graph.NewKn(n)
-		}
-		return graph.RandomRegular(n, d, src)
-	case KindGnp:
-		p := math.Pow(float64(n), alpha-1)
-		// Keep expected min degree comfortably positive: p >= 8 ln n / n.
-		if min := 8 * math.Log(float64(n)) / float64(n); p < min {
-			p = min
-		}
-		for {
-			g := graph.Gnp(n, p, src)
-			if g.MinDegree() > 0 {
-				return g
-			}
-		}
-	case KindComplete:
-		return graph.NewKn(n)
-	case KindTorus:
-		side := int(math.Round(math.Sqrt(float64(n))))
-		if side < 3 {
-			side = 3
-		}
-		return graph.Torus2D(side, side)
-	case KindCycle:
-		if n < 3 {
-			n = 3
-		}
-		return graph.Cycle(n)
-	case KindHypercube:
-		dim := int(math.Round(math.Log2(float64(n))))
-		if dim < 2 {
-			dim = 2
-		}
-		return graph.Hypercube(dim)
-	default:
-		panic(fmt.Sprintf("experiments: unknown graph kind %d", int(kind)))
-	}
-}
 
 // run drives p through dynamics.Run with no deadline and no observer; a
 // background context never cancels, so the loop cannot fail.
@@ -141,26 +54,34 @@ func run(p dynamics.Dynamic, maxRounds int) dynamics.Result {
 	return res
 }
 
-// runConsensusTrials measures Best-of-k consensus on fresh graphs: each
-// trial generates its own graph (for random families), draws the initial
-// configuration with P(blue) = 1/2 − δ, and runs to consensus or the round
-// budget. The Outcome's Rounds is the consensus time (maxRounds when the
-// budget is exhausted) and Win reports red consensus.
-func runConsensusTrials(cfg Config, kind GraphKind, n int, alpha, delta float64, rule dynamics.Rule, budget int) []sim.Outcome {
-	if budget <= 0 {
-		budget = maxRounds
+// redWins is the 95% Wilson interval of a report's red-win rate.
+func redWins(rep *repro.RunReport) stats.Proportion {
+	return stats.WilsonInterval(rep.RedWins, len(rep.Outcomes), 1.96)
+}
+
+// consensusFraction is the share of a report's trials that reached
+// consensus within the round cap.
+func consensusFraction(rep *repro.RunReport) float64 {
+	return float64(rep.ConsensusCount) / float64(len(rep.Outcomes))
+}
+
+// finalBlue returns each trial's blue fraction when its run stopped: at
+// consensus or at the spec's round cap.
+func finalBlue(rep *repro.RunReport) []float64 {
+	out := make([]float64, len(rep.Reports))
+	for i, r := range rep.Reports {
+		out[i] = float64(r.BlueTrajectory[len(r.BlueTrajectory)-1]) / float64(rep.Precondition.N)
 	}
-	return sim.RunOutcomes(cfg.Trials, cfg.Seed, cfg.Workers, func(i int, src *rng.Source) sim.Outcome {
-		g := makeGraph(kind, n, alpha, src)
-		init := opinion.RandomConfig(g.N(), 0.5-delta, src)
-		p, err := dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Workers: 1})
-		if err != nil {
-			panic(err) // experiment configs are validated by construction
+	return out
+}
+
+// shareBelow is the 95% Wilson interval of the fraction of xs below limit.
+func shareBelow(xs []float64, limit float64) stats.Proportion {
+	k := 0
+	for _, x := range xs {
+		if x < limit {
+			k++
 		}
-		res := run(p, budget)
-		return sim.Outcome{
-			Rounds: float64(res.Rounds),
-			Win:    res.Consensus && res.Winner == opinion.Red,
-		}
-	})
+	}
+	return stats.WilsonInterval(k, len(xs), 1.96)
 }

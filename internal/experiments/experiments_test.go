@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"math"
-	"strings"
+	"reflect"
+	"runtime"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // The experiment tests run the Quick configuration and assert the *shape*
@@ -19,39 +18,6 @@ func quickCfg() Config {
 	return c
 }
 
-func TestMakeGraphFamilies(t *testing.T) {
-	src := rng.New(1)
-	for _, kind := range []GraphKind{KindRegular, KindGnp, KindComplete, KindTorus, KindCycle, KindHypercube} {
-		g := makeGraph(kind, 512, 0.6, src)
-		if g.N() < 3 {
-			t.Errorf("%v: n = %d", kind, g.N())
-		}
-		if g.MinDegree() < 1 {
-			t.Errorf("%v: isolated vertex", kind)
-		}
-	}
-}
-
-func TestMakeGraphPanicsOnUnknownKind(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown kind did not panic")
-		}
-	}()
-	makeGraph(GraphKind(99), 16, 0.5, rng.New(1))
-}
-
-func TestGraphKindStrings(t *testing.T) {
-	if KindRegular.String() != "regular" || KindGnp.String() != "gnp" ||
-		KindComplete.String() != "complete" || KindTorus.String() != "torus" ||
-		KindCycle.String() != "cycle" || KindHypercube.String() != "hypercube" {
-		t.Error("kind strings wrong")
-	}
-	if !strings.Contains(GraphKind(42).String(), "42") {
-		t.Error("unknown kind string")
-	}
-}
-
 func TestE1ShapeClaims(t *testing.T) {
 	res := E1ConsensusScaling(quickCfg())
 	if len(res.Rows) == 0 {
@@ -60,14 +26,14 @@ func TestE1ShapeClaims(t *testing.T) {
 	for _, row := range res.Rows {
 		// Red must essentially always win at delta = 0.05 on dense graphs.
 		if row.RedWins.P < 0.9 {
-			t.Errorf("%v n=%d: red win rate %.2f", row.Kind, row.N, row.RedWins.P)
+			t.Errorf("%v n=%d: red win rate %.2f", row.Family, row.N, row.RedWins.P)
 		}
 		// Rounds must stay tiny (double-log, single-to-low-double digits).
 		if row.MeanRounds > 40 {
-			t.Errorf("%v n=%d: mean rounds %.1f not double-log-ish", row.Kind, row.N, row.MeanRounds)
+			t.Errorf("%v n=%d: mean rounds %.1f not double-log-ish", row.Family, row.N, row.MeanRounds)
 		}
 		if row.ConsensusFraction < 0.99 {
-			t.Errorf("%v n=%d: consensus fraction %.2f", row.Kind, row.N, row.ConsensusFraction)
+			t.Errorf("%v n=%d: consensus fraction %.2f", row.Family, row.N, row.ConsensusFraction)
 		}
 	}
 	if res.Table().NumRows() != len(res.Rows) {
@@ -113,6 +79,20 @@ func TestE3RecursionTracksSimulation(t *testing.T) {
 	lastRow := res.Rows[len(res.Rows)-1]
 	if lastRow.EmpiricalBlue > 0.001 {
 		t.Errorf("blue fraction did not collapse: %v", lastRow.EmpiricalBlue)
+	}
+}
+
+// TestE3DeterministicAcrossGOMAXPROCS: the trajectory rows run one engine
+// worker per trial, so the table is a function of the seed alone — not of
+// the core count the harness happens to see.
+func TestE3DeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	one := E3IdealRecursion(Quick())
+	runtime.GOMAXPROCS(4)
+	four := E3IdealRecursion(Quick())
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("E3 rows differ between GOMAXPROCS 1 and 4:\n%s\n%s", one.Table(), four.Table())
 	}
 }
 
@@ -189,26 +169,26 @@ func TestE8GrowthFactor(t *testing.T) {
 
 func TestE9BaselineOrdering(t *testing.T) {
 	res := E9BaselineComparison(quickCfg())
-	for _, kind := range []GraphKind{KindComplete, KindRegular} {
-		voter := res.MeanRoundsFor("best-of-1", kind)
-		bo3 := res.MeanRoundsFor("best-of-3", kind)
-		bo2 := res.MeanRoundsFor("best-of-2/keep", kind)
+	for _, family := range []string{"complete-virtual", "random-regular"} {
+		voter := res.MeanRoundsFor("best-of-1", family)
+		bo3 := res.MeanRoundsFor("best-of-3", family)
+		bo2 := res.MeanRoundsFor("best-of-2/keep", family)
 		if math.IsNaN(voter) || math.IsNaN(bo3) || math.IsNaN(bo2) {
-			t.Fatalf("%v: missing rows\n%s", kind, res.Table())
+			t.Fatalf("%v: missing rows\n%s", family, res.Table())
 		}
 		// The introduction's claim: best-of-k (k>=2) is much faster than the
 		// voter model.
 		if bo3 >= voter/5 {
-			t.Errorf("%v: best-of-3 (%.1f) not ≫ faster than voter (%.1f)", kind, bo3, voter)
+			t.Errorf("%v: best-of-3 (%.1f) not ≫ faster than voter (%.1f)", family, bo3, voter)
 		}
 		if bo2 >= voter/2 {
-			t.Errorf("%v: best-of-2 (%.1f) not faster than voter (%.1f)", kind, bo2, voter)
+			t.Errorf("%v: best-of-2 (%.1f) not faster than voter (%.1f)", family, bo2, voter)
 		}
 	}
 	// Best-of-3 must win red w.h.p.
 	for _, row := range res.Rows {
 		if row.Rule == "best-of-3" && row.RedWins.P < 0.9 {
-			t.Errorf("best-of-3 red wins %.2f on %v", row.RedWins.P, row.Kind)
+			t.Errorf("best-of-3 red wins %.2f on %v", row.RedWins.P, row.Graph)
 		}
 	}
 }
@@ -219,12 +199,12 @@ func TestE10DensityGateOrdering(t *testing.T) {
 	for _, row := range res.Rows {
 		if row.DenseClass {
 			dense = append(dense, row.MeanRounds)
-		} else if row.Kind == KindCycle || row.Kind == KindTorus {
+		} else if row.Family == "cycle" || row.Family == "torus" {
 			sparse = append(sparse, row.MeanRounds)
 		}
 		// Red must win on the dense families.
 		if row.DenseClass && row.RedWins.P < 0.9 {
-			t.Errorf("%v: red wins %.2f", row.Kind, row.RedWins.P)
+			t.Errorf("%v: red wins %.2f", row.Graph, row.RedWins.P)
 		}
 	}
 	if len(dense) == 0 || len(sparse) == 0 {

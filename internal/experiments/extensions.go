@@ -11,10 +11,9 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/cli"
 	"repro/internal/dynamics"
-	"repro/internal/graph"
 	"repro/internal/opinion"
-	"repro/internal/plurality"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -31,37 +30,26 @@ type E14Row struct {
 
 // E14Result is the q-opinion plurality-consensus experiment.
 type E14Result struct {
-	N    int
-	Rows []E14Row
+	N     int
+	Delta float64
+	Rows  []E14Row
 }
 
-// E14PluralityConsensus runs the q-opinion Best-of-Three dynamic on a
-// complete graph with opinion 0 holding a constant relative advantage, and
-// measures consensus time and the plurality win rate as q grows: the
-// q = 2 row is the paper's setting; larger q reproduces the shape of [2]
-// (slower consensus, plurality still winning given the advantage).
+// E14PluralityConsensus runs the E14 registry grid: the q-opinion
+// Best-of-Three dynamic on a complete graph with opinion 0 holding share
+// 1/q + δ, measuring consensus time and the plurality win rate as q grows:
+// the q = 2 row is the paper's setting; larger q reproduces the shape of
+// [2] (slower consensus, plurality still winning given the advantage).
 func E14PluralityConsensus(cfg Config) E14Result {
-	n := cfg.MaxN
-	res := E14Result{N: n}
-	for _, q := range []int{2, 3, 5, 8, 12} {
-		// Opinion 0 gets 1.5x the balanced share.
-		share0 := math.Min(0.9, 1.5/float64(q))
-		outs := sim.RunOutcomes(cfg.Trials, cfg.Seed+uint64(q), cfg.Workers, func(i int, src *rng.Source) sim.Outcome {
-			init := plurality.RandomBiasedConfig(n, q, share0, src)
-			p, err := plurality.New(graph.NewKn(n), init, plurality.Options{
-				Seed: src.Uint64(), Tie: plurality.TieRandomSample, Workers: 1,
-			})
-			if err != nil {
-				panic(err)
-			}
-			r := run(p, maxRounds)
-			return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
-		})
+	var res E14Result
+	for _, rep := range runSweep(cfg, "E14") {
+		q := rep.Spec.Variant.Q
+		res.N, res.Delta = rep.Spec.Graph.N, rep.Spec.Delta
 		res.Rows = append(res.Rows, E14Row{
 			Q:             q,
-			Share0:        share0,
-			MeanRounds:    stats.Summarize(sim.RoundsOf(outs)).Mean,
-			PluralityWins: stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
+			Share0:        1/float64(q) + rep.Spec.Delta,
+			MeanRounds:    rep.MeanRounds,
+			PluralityWins: redWins(rep),
 		})
 	}
 	return res
@@ -82,7 +70,7 @@ func (r E14Result) RoundsIncreaseWithQ() bool {
 // Table renders the result.
 func (r E14Result) Table() *table.Table {
 	t := table.New(
-		fmt.Sprintf("E14 (extension, ref [2]): q-opinion plurality on K_%d, opinion 0 at 1.5x balanced share", r.N),
+		fmt.Sprintf("E14 (extension, ref [2]): q-opinion plurality on K_%d, opinion 0 at share 1/q + %.2f", r.N, r.Delta),
 		"q", "share of op 0", "mean rounds", "plurality wins")
 	for _, row := range r.Rows {
 		t.AddRow(row.Q, row.Share0, row.MeanRounds, row.PluralityWins.P)
@@ -90,61 +78,39 @@ func (r E14Result) Table() *table.Table {
 	return t
 }
 
-// E15Row is one zealot-count point.
+// E15Row is one zealot-fraction point.
 type E15Row struct {
-	StubbornBlue  int
 	StubbornFrac  float64
-	FinalBlueFrac float64 // mean final blue fraction (excluding consensus impossibility)
+	FinalBlueFrac float64 // mean blue fraction when the run stopped
 	RedDominates  stats.Proportion
 }
 
 // E15Result is the stubborn-zealot experiment.
 type E15Result struct {
-	N, D int
-	Rows []E15Row
+	N, D      int
+	Delta     float64
+	MaxRounds int
+	Rows      []E15Row
 }
 
-// E15StubbornZealots plants f permanently-Blue vertices in a red-majority
-// dense graph and measures the final blue mass: the forward analogue of the
-// Sprinkling process's artificial Blue vertices. The paper's machinery
-// tolerates ~ε·n ≈ 3^T·n/d artificial blues; the dynamic correspondingly
-// absorbs small zealot sets without losing the red majority, while a
-// zealot mass comparable to δ·n flips the outcome.
+// E15StubbornZealots runs the E15 registry grid: a fraction of
+// permanently-Blue vertices in a red-majority dense graph, measuring the
+// blue mass when the run stops (at the row's round cap whenever zealots
+// rule out consensus) — the forward analogue of the Sprinkling process's
+// artificial Blue vertices. The paper's machinery tolerates ~ε·n ≈
+// 3^T·n/d artificial blues; the dynamic correspondingly absorbs small
+// zealot sets without losing the red majority, while a zealot mass
+// comparable to δ·n flips the outcome.
 func E15StubbornZealots(cfg Config) E15Result {
-	n := cfg.MaxN
-	d := int(math.Ceil(math.Pow(float64(n), 0.6)))
-	if (n*d)%2 != 0 {
-		d++
-	}
-	const delta = 0.1
-	const rounds = 60
-	res := E15Result{N: n, D: d}
-	for _, frac := range []float64{0, 0.001, 0.01, 0.05, 0.1, 0.2} {
-		f := int(frac * float64(n))
-		outs := sim.RunOutcomes(cfg.Trials, cfg.Seed+uint64(f), cfg.Workers, func(i int, src *rng.Source) sim.Outcome {
-			g := graph.RandomRegular(n, d, src)
-			init := opinion.RandomConfig(n, 0.5-delta, src)
-			stub := make([]int, f)
-			for j := range stub {
-				stub[j] = src.Intn(n) // duplicates fine; set semantics below
-				init.Set(stub[j], opinion.Blue)
-			}
-			p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{
-				Seed: src.Uint64(), Workers: 1, Stubborn: stub,
-			})
-			if err != nil {
-				panic(err)
-			}
-			r := run(p, rounds)
-			final := float64(r.BlueTrajectory[len(r.BlueTrajectory)-1]) / float64(n)
-			return sim.Outcome{Rounds: final, Win: final < 0.5}
-		})
-		finals := sim.RoundsOf(outs)
+	var res E15Result
+	for _, rep := range runSweep(cfg, "E15") {
+		finals := finalBlue(rep)
+		res.N, res.D = rep.Spec.Graph.N, rep.Spec.Graph.D
+		res.Delta, res.MaxRounds = rep.Spec.Delta, rep.Spec.MaxRounds
 		res.Rows = append(res.Rows, E15Row{
-			StubbornBlue:  f,
-			StubbornFrac:  frac,
+			StubbornFrac:  rep.Spec.Variant.StubbornFrac,
 			FinalBlueFrac: stats.Summarize(finals).Mean,
-			RedDominates:  stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
+			RedDominates:  shareBelow(finals, 0.5),
 		})
 	}
 	return res
@@ -153,17 +119,17 @@ func E15StubbornZealots(cfg Config) E15Result {
 // Table renders the result.
 func (r E15Result) Table() *table.Table {
 	t := table.New(
-		fmt.Sprintf("E15 (extension, Sprinkling adversary): stubborn blue zealots on regular n=%d d=%d, delta=0.1", r.N, r.D),
-		"zealots", "zealot frac", "final blue frac", "red majority holds")
+		fmt.Sprintf("E15 (extension, Sprinkling adversary): stubborn blue zealots on regular n=%d d=%d, delta=%.2f, %d-round cap", r.N, r.D, r.Delta, r.MaxRounds),
+		"zealot frac", "final blue frac", "red majority holds")
 	for _, row := range r.Rows {
-		t.AddRow(row.StubbornBlue, row.StubbornFrac, row.FinalBlueFrac, row.RedDominates.P)
+		t.AddRow(row.StubbornFrac, row.FinalBlueFrac, row.RedDominates.P)
 	}
 	return t
 }
 
 // E16Row is one (placement, topology) cell.
 type E16Row struct {
-	Kind       GraphKind
+	Family     string
 	Placement  string
 	MeanRounds float64
 	RedWins    stats.Proportion
@@ -183,28 +149,35 @@ type E16Result struct {
 // barely matters — one round mixes the samples — while on the sparse torus
 // a clustered minority survives far longer, illustrating why the paper's
 // i.i.d. hypothesis and density assumption buy the double-log speed that
-// adversarial analyses cannot.
+// adversarial analyses cannot. The start is not i.i.d., so the row drives
+// the engine directly on topologies built from the shared family flags'
+// specs (d = ⌈n^0.6⌉ regular, the ⌈√n⌉-side torus).
 func E16AdversarialPlacement(cfg Config) E16Result {
 	n := cfg.MaxN
 	const blueFrac = 0.4
 	blueCount := int(blueFrac * float64(n))
 	res := E16Result{N: n, BlueCount: blueCount}
-	budget := maxRounds
-	for _, kind := range []GraphKind{KindRegular, KindTorus} {
+	for _, family := range []string{"regular", "torus"} {
+		gs, err := (&cli.GraphFlags{Family: family, N: n, Alpha: 0.6}).Spec(cfg.Seed)
+		if err != nil {
+			panic(err) // fixed, valid family parameters
+		}
+		g, err := gs.Build()
+		if err != nil {
+			panic(err)
+		}
 		for _, placement := range []string{"random", "clustered"} {
-			placement := placement
 			outs := sim.RunOutcomes(cfg.Trials, cfg.Seed+uint64(len(res.Rows)), cfg.Workers, func(i int, src *rng.Source) sim.Outcome {
-				g := makeGraph(kind, n, 0.6, src)
 				init := placeBlues(g, blueCount, placement == "clustered", src)
 				p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Workers: 1})
 				if err != nil {
 					panic(err)
 				}
-				r := run(p, budget)
+				r := run(p, maxRounds)
 				return sim.Outcome{Rounds: float64(r.Rounds), Win: r.Consensus && r.Winner == opinion.Red}
 			})
 			res.Rows = append(res.Rows, E16Row{
-				Kind:       kind,
+				Family:     gs.Family,
 				Placement:  placement,
 				MeanRounds: stats.Summarize(sim.RoundsOf(outs)).Mean,
 				RedWins:    stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
@@ -264,7 +237,7 @@ func placeBlues(g dynamics.Topology, count int, clustered bool, src *rng.Source)
 func (r E16Result) SlowdownOnTorus() float64 {
 	var clustered, random float64
 	for _, row := range r.Rows {
-		if row.Kind != KindTorus {
+		if row.Family != "torus" {
 			continue
 		}
 		if row.Placement == "clustered" {
@@ -285,7 +258,7 @@ func (r E16Result) Table() *table.Table {
 		fmt.Sprintf("E16 (extension, ref [5] contrast): placement of %d blues on n=%d", r.BlueCount, r.N),
 		"family", "placement", "mean rounds", "red wins")
 	for _, row := range r.Rows {
-		t.AddRow(row.Kind.String(), row.Placement, row.MeanRounds, row.RedWins.P)
+		t.AddRow(row.Family, row.Placement, row.MeanRounds, row.RedWins.P)
 	}
 	return t
 }

@@ -59,7 +59,7 @@ func TestE16PlacementEffect(t *testing.T) {
 	}
 	// Dense regular graph: both placements fast and red-won.
 	for _, row := range res.Rows {
-		if row.Kind == KindRegular {
+		if row.Family == "random-regular" {
 			if row.MeanRounds > 60 {
 				t.Errorf("regular/%s: %.1f rounds", row.Placement, row.MeanRounds)
 			}

@@ -4,14 +4,39 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dynamics"
-	"repro/internal/graph"
-	"repro/internal/opinion"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/table"
 	"repro/internal/theory"
+	"repro/spec"
 )
+
+// blueFractions runs the complete-graph trajectory spec shared by E3, E8
+// and E13 — Best-of-Three on virtual K_n from P(blue) = 1/2 − delta, up to
+// the row's horizon — and returns frac[t][i], trial i's blue fraction
+// after round t; a trial that reached consensus earlier keeps its final
+// value. The spec forces the general engine: these rows validate the
+// per-vertex sampling engine against analytic ground truth, and the
+// mean-field fast path draws from the same kernel the recursions compute,
+// which would make the comparison circular.
+func blueFractions(cfg Config, n int, delta float64, rounds int) [][]float64 {
+	rep := runSpec(cfg, spec.RunSpec{
+		Graph:     spec.GraphSpec{Family: "complete-virtual", N: n},
+		Delta:     delta,
+		Trials:    cfg.Trials,
+		MaxRounds: rounds,
+		Seed:      cfg.Seed,
+		Engine:    "general",
+	})
+	frac := make([][]float64, rounds+1)
+	for t := range frac {
+		frac[t] = make([]float64, len(rep.Reports))
+		for i, r := range rep.Reports {
+			traj := r.BlueTrajectory
+			frac[t][i] = float64(traj[min(t, len(traj)-1)]) / float64(n)
+		}
+	}
+	return frac
+}
 
 // E3Row compares one round of the empirical complete-graph trajectory with
 // equation (1).
@@ -39,39 +64,9 @@ func E3IdealRecursion(cfg Config) E3Result {
 	const delta = 0.1
 	const rounds = 12
 	res := E3Result{N: n, Delta: delta}
-
-	// Collect per-round blue fractions across trials. Trials run
-	// sequentially; each Process parallelises its own rounds internally.
-	perRound := make([][]float64, rounds+1)
-	for t := range perRound {
-		perRound[t] = make([]float64, 0, cfg.Trials)
-	}
-	// The recursion checks here (and in E8/E13/E20) validate the
-	// per-vertex sampling engine against analytic ground truth, so they
-	// force EngineGeneral: the mean-field fast path draws from the same
-	// kernel the recursion computes, which would make the comparison
-	// circular.
-	for i := 0; i < cfg.Trials; i++ {
-		src := rng.NewFrom(cfg.Seed, uint64(i))
-		g := graph.NewKn(n)
-		init := opinion.RandomConfig(n, 0.5-delta, src)
-		p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Workers: 0, Engine: dynamics.EngineGeneral})
-		if err != nil {
-			panic(err)
-		}
-		r := run(p, rounds)
-		for t := 0; t <= rounds; t++ {
-			var frac float64
-			if t < len(r.BlueTrajectory) {
-				frac = float64(r.BlueTrajectory[t]) / float64(n)
-			} // consensus before round t: blue fraction is 0 (red won)
-			perRound[t] = append(perRound[t], frac)
-		}
-	}
-
 	pred := theory.IdealRecursion(0.5-delta, rounds)
-	for t := 0; t <= rounds; t++ {
-		sum := stats.Summarize(perRound[t])
+	for t, fracs := range blueFractions(cfg, n, delta, rounds) {
+		sum := stats.Summarize(fracs)
 		res.Rows = append(res.Rows, E3Row{
 			Round:          t,
 			EmpiricalBlue:  sum.Mean,
@@ -127,33 +122,11 @@ func E8DeltaGrowth(cfg Config) E8Result {
 	const delta0 = 0.02
 	const rounds = 14
 	res := E8Result{N: n}
-
-	perRound := make([]float64, rounds+1)
-	for i := 0; i < cfg.Trials; i++ {
-		src := rng.NewFrom(cfg.Seed, uint64(i))
-		init := opinion.RandomConfig(n, 0.5-delta0, src)
-		p, err := dynamics.New(graph.NewKn(n), dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Workers: 0, Engine: dynamics.EngineGeneral})
-		if err != nil {
-			panic(err)
-		}
-		r := run(p, rounds)
-		for t := 0; t <= rounds; t++ {
-			frac := 0.0
-			if t < len(r.BlueTrajectory) {
-				frac = float64(r.BlueTrajectory[t]) / float64(n)
-			}
-			perRound[t] += 0.5 - frac
-		}
-	}
-	for t := range perRound {
-		perRound[t] /= float64(cfg.Trials)
-	}
-
 	recDelta := delta0
-	for t := 0; t <= rounds; t++ {
-		row := E8Row{Round: t, EmpiricalDelta: perRound[t], RecursionDelta: recDelta}
-		if t > 0 && perRound[t-1] > 1e-9 {
-			row.GrowthFactor = perRound[t] / perRound[t-1]
+	for t, fracs := range blueFractions(cfg, n, delta0, rounds) {
+		row := E8Row{Round: t, EmpiricalDelta: 0.5 - stats.Summarize(fracs).Mean, RecursionDelta: recDelta}
+		if t > 0 && res.Rows[t-1].EmpiricalDelta > 1e-9 {
+			row.GrowthFactor = row.EmpiricalDelta / res.Rows[t-1].EmpiricalDelta
 		}
 		res.Rows = append(res.Rows, row)
 		recDelta = theory.DeltaStep(recDelta, 0)
@@ -219,25 +192,9 @@ func E13PhaseSchedule(cfg Config) E13Result {
 	d := float64(n - 1) // complete graph degree
 
 	const rounds = 40
-	traj := make([]float64, rounds+1)
-	for i := 0; i < cfg.Trials; i++ {
-		src := rng.NewFrom(cfg.Seed, uint64(i))
-		init := opinion.RandomConfig(n, 0.5-delta0, src)
-		p, err := dynamics.New(graph.NewKn(n), dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Workers: 0, Engine: dynamics.EngineGeneral})
-		if err != nil {
-			panic(err)
-		}
-		r := run(p, rounds)
-		for t := 0; t <= rounds; t++ {
-			frac := 0.0
-			if t < len(r.BlueTrajectory) {
-				frac = float64(r.BlueTrajectory[t]) / float64(n)
-			}
-			traj[t] += frac
-		}
-	}
-	for t := range traj {
-		traj[t] /= float64(cfg.Trials)
+	var traj []float64
+	for _, fracs := range blueFractions(cfg, n, delta0, rounds) {
+		traj = append(traj, stats.Summarize(fracs).Mean)
 	}
 
 	// Measured boundaries.

@@ -4,20 +4,18 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dynamics"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/table"
-	"repro/internal/theory"
 )
 
-// E1Row is one parameter point of the consensus-scaling experiment.
+// E1Row is one cell of the consensus-scaling experiment.
 type E1Row struct {
-	Kind              GraphKind
+	Family            string
+	Graph             string
 	N                 int
-	Alpha, Delta      float64
+	Delta             float64
 	MeanRounds        float64
-	MaxRounds         float64
+	MaxRounds         int
 	RedWins           stats.Proportion
 	PredictedRounds   int
 	LogLogN           float64
@@ -31,57 +29,38 @@ type E1Result struct {
 	Rows []E1Row
 }
 
-// E1ConsensusScaling sweeps n over powers of two on the dense families and
-// measures Best-of-Three consensus time and the red win rate, against the
-// Theorem 1 prediction O(log log n + log δ⁻¹).
+// E1ConsensusScaling runs the E1 registry grid — n over powers of two on
+// the dense families — and measures Best-of-Three consensus time and the
+// red win rate, against the Theorem 1 prediction O(log log n + log δ⁻¹).
 func E1ConsensusScaling(cfg Config) E1Result {
-	const alpha, delta = 0.6, 0.05
 	var res E1Result
-	for _, kind := range []GraphKind{KindRegular, KindGnp, KindComplete} {
-		for n := 1 << 10; n <= cfg.MaxN; n <<= 1 {
-			outs := runConsensusTrials(cfg, kind, n, alpha, delta, dynamics.BestOfThree, 0)
-			rounds := sim.RoundsOf(outs)
-			sum := stats.Summarize(rounds)
-			lln := math.Log(math.Log(float64(n)))
-			row := E1Row{
-				Kind:              kind,
-				N:                 n,
-				Alpha:             alpha,
-				Delta:             delta,
-				MeanRounds:        sum.Mean,
-				MaxRounds:         sum.Max,
-				RedWins:           stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
-				PredictedRounds:   theory.PredictedRounds(n, math.Pow(float64(n), alpha), delta),
-				LogLogN:           lln,
-				RoundsPerLogLogN:  sum.Mean / lln,
-				ConsensusFraction: consensusFraction(rounds),
-			}
-			res.Rows = append(res.Rows, row)
-		}
+	for _, rep := range runSweep(cfg, "E1") {
+		n := rep.Spec.Graph.N
+		lln := math.Log(math.Log(float64(n)))
+		res.Rows = append(res.Rows, E1Row{
+			Family:            rep.Spec.Graph.Family,
+			Graph:             rep.GraphName,
+			N:                 n,
+			Delta:             rep.Spec.Delta,
+			MeanRounds:        rep.MeanRounds,
+			MaxRounds:         rep.MaxRounds,
+			RedWins:           redWins(rep),
+			PredictedRounds:   rep.PredictedRounds,
+			LogLogN:           lln,
+			RoundsPerLogLogN:  rep.MeanRounds / lln,
+			ConsensusFraction: consensusFraction(rep),
+		})
 	}
 	return res
 }
 
-func consensusFraction(rounds []float64) float64 {
-	if len(rounds) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, r := range rounds {
-		if r < maxRounds {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(rounds))
-}
-
-// FitExponent fits rounds ~ c·(log log n)^e over the rows of one kind; an
-// exponent near 1 (and far below what a log n fit would need) supports the
-// double-logarithmic claim.
-func (r E1Result) FitExponent(kind GraphKind) (exponent, r2 float64) {
+// FitExponent fits rounds ~ c·(log log n)^e over the rows of one family;
+// an exponent near 1 (and far below what a log n fit would need) supports
+// the double-logarithmic claim.
+func (r E1Result) FitExponent(family string) (exponent, r2 float64) {
 	var xs, ys []float64
 	for _, row := range r.Rows {
-		if row.Kind == kind && row.MeanRounds > 0 {
+		if row.Family == family && row.MeanRounds > 0 {
 			xs = append(xs, row.LogLogN)
 			ys = append(ys, row.MeanRounds)
 		}
@@ -93,10 +72,10 @@ func (r E1Result) FitExponent(kind GraphKind) (exponent, r2 float64) {
 // Table renders the result.
 func (r E1Result) Table() *table.Table {
 	t := table.New(
-		"E1 (Theorem 1): Best-of-3 consensus time vs n, delta=0.05, d=n^0.6",
-		"family", "n", "mean rounds", "max rounds", "pred rounds", "rounds/loglog n", "red wins", "95% CI")
+		fmt.Sprintf("E1 (Theorem 1): Best-of-3 consensus time vs n, delta=%.2f", r.Rows[0].Delta),
+		"graph", "mean rounds", "max rounds", "pred rounds", "rounds/loglog n", "red wins", "95% CI")
 	for _, row := range r.Rows {
-		t.AddRow(row.Kind.String(), row.N, row.MeanRounds, row.MaxRounds,
+		t.AddRow(row.Graph, row.MeanRounds, row.MaxRounds,
 			row.PredictedRounds, row.RoundsPerLogLogN, row.RedWins.P,
 			fmt.Sprintf("[%.3f,%.3f]", row.RedWins.Lo, row.RedWins.Hi))
 	}
@@ -115,25 +94,23 @@ type E2Row struct {
 // E2Result measures the additive O(log δ⁻¹) term of Theorem 1.
 type E2Result struct {
 	N     int
-	Alpha float64
+	Graph string
 	Rows  []E2Row
 }
 
-// E2DeltaSweep fixes a dense graph size and sweeps the initial imbalance δ
-// downwards; mean consensus time should grow like log δ⁻¹ (linear in the
-// LogInvD column), not explode.
+// E2DeltaSweep runs the E2 registry grid — one dense graph, the initial
+// imbalance δ swept downwards; mean consensus time should grow like
+// log δ⁻¹ (linear in the LogInvD column), not explode.
 func E2DeltaSweep(cfg Config) E2Result {
-	n := cfg.MaxN
-	const alpha = 0.6
-	res := E2Result{N: n, Alpha: alpha}
-	for _, delta := range []float64{0.2, 0.1, 0.05, 0.02, 0.01, 0.005} {
-		outs := runConsensusTrials(cfg, KindRegular, n, alpha, delta, dynamics.BestOfThree, 0)
+	var res E2Result
+	for _, rep := range runSweep(cfg, "E2") {
+		res.N, res.Graph = rep.Spec.Graph.N, rep.GraphName
 		res.Rows = append(res.Rows, E2Row{
-			Delta:      delta,
-			LogInvD:    math.Log(1 / delta),
-			MeanRounds: stats.Summarize(sim.RoundsOf(outs)).Mean,
-			RedWins:    stats.WilsonInterval(sim.Wins(outs), len(outs), 1.96),
-			Predicted:  theory.PredictedRounds(n, math.Pow(float64(n), alpha), delta),
+			Delta:      rep.Spec.Delta,
+			LogInvD:    math.Log(1 / rep.Spec.Delta),
+			MeanRounds: rep.MeanRounds,
+			RedWins:    redWins(rep),
+			Predicted:  rep.PredictedRounds,
 		})
 	}
 	return res
@@ -154,7 +131,7 @@ func (r E2Result) SlopePerLogInvDelta() stats.LinearFit {
 // Table renders the result.
 func (r E2Result) Table() *table.Table {
 	t := table.New(
-		fmt.Sprintf("E2 (Theorem 1, delta term): rounds vs delta on regular n=%d d=n^%.1f", r.N, r.Alpha),
+		fmt.Sprintf("E2 (Theorem 1, delta term): rounds vs delta on %s", r.Graph),
 		"delta", "log(1/delta)", "mean rounds", "pred rounds", "red wins")
 	for _, row := range r.Rows {
 		t.AddRow(row.Delta, row.LogInvD, row.MeanRounds, row.Predicted, row.RedWins.P)

@@ -1,10 +1,11 @@
 // Package serve turns the Best-of-Three engine into a long-running
 // HTTP/JSON simulation service. Clients submit jobs (a graph spec, an
 // imbalance δ, a Best-of-k rule, and a trial count), the Manager executes
-// them on a bounded worker pool reusing the sharded engine in
-// internal/dynamics through the internal/sim trial harness, and an LRU
-// graph pool keyed by the canonical graph spec lets repeated sweeps over
-// one topology skip the generator path.
+// them on a bounded worker pool through repro.Runner — the Runner the
+// library, the CLIs and the experiment suite use, so a job's outcomes are
+// byte-identical to the same spec run anywhere else — and an LRU graph
+// pool keyed by the canonical graph spec lets repeated sweeps over one
+// topology skip the generator path.
 //
 // Parameter grids are first-class: a sweep request expands a grid
 // (topologies × n × δ × k × tie × noise × trials) into child runs scheduled on the

@@ -1,34 +1,37 @@
-// Package sim is the multi-trial experiment harness: it fans independent
-// trials of a simulation out over a worker pool, gives every trial its own
-// deterministic RNG stream, and aggregates the results.
-//
-// Every runner has a context-aware variant (RunTrialsContext,
-// RunOutcomesContext) that stops claiming new trials once the context is
-// cancelled and returns the partial results together with ctx.Err(); this
-// is what lets the bo3serve job manager cancel queued work and shut down
-// gracefully without abandoning goroutines.
+// Package sim holds the small trial-level helpers shared across layers:
+// RunOutcomes fans independent trials of a hand-built simulation out over
+// a worker pool with one deterministic RNG stream per trial (the
+// experiments that need a non-i.i.d. start or graphs outside the spec
+// registry use it), and Tally folds per-trial results into the
+// order-independent aggregates the serve layer reports. Spec-described
+// runs go through the root package's Runner instead, whose Stream is
+// what cancels in-flight trials at the next round boundary.
 package sim
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
 	"repro/internal/rng"
 )
 
-// Trial is a single randomized run: it receives the trial index and a
-// dedicated RNG source and returns one float64 measurement.
-type Trial func(i int, src *rng.Source) float64
+// Outcome is a generic per-trial record for experiments that measure more
+// than one number.
+type Outcome struct {
+	// Rounds is the measured round count (or other primary metric).
+	Rounds float64
+	// Win reports whether the trial satisfied the experiment's success
+	// predicate (e.g. "red won").
+	Win bool
+}
 
-// runIndexed executes n indexed trials over a worker pool. Trial i always
-// receives the stream derived from (seed, i), so results are independent of
-// scheduling and worker count. When ctx is cancelled, workers stop claiming
-// new indices; already-started trials run to completion, untouched slots
-// keep their zero value, and ctx.Err() is returned.
-func runIndexed[T any](ctx context.Context, n int, seed uint64, workers int, trial func(i int, src *rng.Source) T) ([]T, error) {
+// RunOutcomes executes n independent trials, parallelised over workers
+// goroutines (0 = GOMAXPROCS), and returns the n outcomes in trial order.
+// Trial i always receives the stream derived from (seed, i), so results
+// are independent of scheduling and worker count.
+func RunOutcomes(n int, seed uint64, workers int, trial func(i int, src *rng.Source) Outcome) []Outcome {
 	if n <= 0 {
-		return nil, ctx.Err()
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -36,7 +39,7 @@ func runIndexed[T any](ctx context.Context, n int, seed uint64, workers int, tri
 	if workers > n {
 		workers = n
 	}
-	out := make([]T, n)
+	out := make([]Outcome, n)
 	var next int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -45,9 +48,6 @@ func runIndexed[T any](ctx context.Context, n int, seed uint64, workers int, tri
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
 				mu.Lock()
 				i := next
 				next++
@@ -60,46 +60,7 @@ func runIndexed[T any](ctx context.Context, n int, seed uint64, workers int, tri
 		}()
 	}
 	wg.Wait()
-	return out, ctx.Err()
-}
-
-// RunTrials executes n independent trials, parallelised over workers
-// goroutines (0 = GOMAXPROCS), and returns the n measurements in trial
-// order. Every trial i draws randomness only from its own stream derived
-// from (seed, i), so results are independent of scheduling and worker
-// count.
-func RunTrials(n int, seed uint64, workers int, trial Trial) []float64 {
-	out, _ := runIndexed(context.Background(), n, seed, workers, trial)
 	return out
-}
-
-// RunTrialsContext is RunTrials with cancellation: when ctx is cancelled it
-// stops claiming new trials and returns the partial measurements (untouched
-// slots are zero) along with ctx.Err().
-func RunTrialsContext(ctx context.Context, n int, seed uint64, workers int, trial Trial) ([]float64, error) {
-	return runIndexed(ctx, n, seed, workers, trial)
-}
-
-// Outcome is a generic per-trial record for experiments that measure more
-// than one number.
-type Outcome struct {
-	// Rounds is the measured round count (or other primary metric).
-	Rounds float64
-	// Win reports whether the trial satisfied the experiment's success
-	// predicate (e.g. "red won").
-	Win bool
-}
-
-// RunOutcomes is RunTrials for Outcome-valued trials.
-func RunOutcomes(n int, seed uint64, workers int, trial func(i int, src *rng.Source) Outcome) []Outcome {
-	out, _ := runIndexed(context.Background(), n, seed, workers, trial)
-	return out
-}
-
-// RunOutcomesContext is RunOutcomes with cancellation, mirroring
-// RunTrialsContext.
-func RunOutcomesContext(ctx context.Context, n int, seed uint64, workers int, trial func(i int, src *rng.Source) Outcome) ([]Outcome, error) {
-	return runIndexed(ctx, n, seed, workers, trial)
 }
 
 // Tally is a streaming aggregate over trial results: the serve layer uses

@@ -1,49 +1,46 @@
 package sim
 
 import (
-	"context"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/rng"
 )
 
 func TestRunTrialsOrderAndCount(t *testing.T) {
-	out := RunTrials(100, 7, 4, func(i int, src *rng.Source) float64 {
-		return float64(i) * 2
+	out := RunOutcomes(100, 7, 4, func(i int, src *rng.Source) Outcome {
+		return Outcome{Rounds: float64(i) * 2}
 	})
 	if len(out) != 100 {
 		t.Fatalf("len = %d", len(out))
 	}
-	for i, v := range out {
-		if v != float64(i)*2 {
-			t.Fatalf("out[%d] = %v", i, v)
+	for i, o := range out {
+		if o.Rounds != float64(i)*2 {
+			t.Fatalf("out[%d] = %v", i, o.Rounds)
 		}
 	}
 }
 
+// drawOutcome is a trial whose outcome depends only on its RNG stream.
+func drawOutcome(i int, src *rng.Source) Outcome {
+	return Outcome{Rounds: float64(src.Uint64n(1 << 30)), Win: src.Uint64n(2) == 0}
+}
+
 func TestRunTrialsDeterministicAcrossWorkerCounts(t *testing.T) {
-	trial := func(i int, src *rng.Source) float64 {
-		return float64(src.Uint64n(1 << 30))
-	}
-	a := RunTrials(50, 42, 1, trial)
-	b := RunTrials(50, 42, 8, trial)
+	a := RunOutcomes(50, 42, 1, drawOutcome)
+	b := RunOutcomes(50, 42, 8, drawOutcome)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("trial %d differs across worker counts: %v vs %v", i, a[i], b[i])
+			t.Fatalf("trial %d differs across worker counts: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
 
 func TestRunTrialsSeedSensitivity(t *testing.T) {
-	trial := func(i int, src *rng.Source) float64 {
-		return float64(src.Uint64n(1 << 30))
-	}
-	a := RunTrials(20, 1, 2, trial)
-	b := RunTrials(20, 2, 2, trial)
+	a := RunOutcomes(20, 1, 2, drawOutcome)
+	b := RunOutcomes(20, 2, 2, drawOutcome)
 	same := 0
 	for i := range a {
-		if a[i] == b[i] {
+		if a[i].Rounds == b[i].Rounds {
 			same++
 		}
 	}
@@ -53,16 +50,16 @@ func TestRunTrialsSeedSensitivity(t *testing.T) {
 }
 
 func TestRunTrialsEdgeCases(t *testing.T) {
-	if out := RunTrials(0, 1, 4, nil); out != nil {
+	if out := RunOutcomes(0, 1, 4, nil); out != nil {
 		t.Error("zero trials should return nil")
 	}
-	if out := RunTrials(-5, 1, 4, nil); out != nil {
+	if out := RunOutcomes(-5, 1, 4, nil); out != nil {
 		t.Error("negative trials should return nil")
 	}
 	// workers > n must not deadlock or skip trials.
-	out := RunTrials(3, 1, 100, func(i int, src *rng.Source) float64 { return 1 })
-	if len(out) != 3 {
-		t.Errorf("len = %d", len(out))
+	out := RunOutcomes(3, 1, 100, func(i int, src *rng.Source) Outcome { return Outcome{Win: true} })
+	if len(out) != 3 || Wins(out) != 3 {
+		t.Errorf("len = %d, wins = %d", len(out), Wins(out))
 	}
 }
 
@@ -84,70 +81,6 @@ func TestRunOutcomesAndHelpers(t *testing.T) {
 	}
 	if out := RunOutcomes(0, 1, 1, nil); out != nil {
 		t.Error("zero outcomes should return nil")
-	}
-}
-
-func TestRunTrialsContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := RunTrialsContext(ctx, 100, 7, 4, func(i int, src *rng.Source) float64 {
-		return 1
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	done := 0
-	for _, v := range out {
-		if v != 0 {
-			done++
-		}
-	}
-	// A pre-cancelled context may still let the first claimed trials run
-	// (workers check before claiming), but must not run the whole batch.
-	if done > 8 {
-		t.Errorf("%d/100 trials ran under a cancelled context", done)
-	}
-}
-
-func TestRunTrialsContextMidFlight(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started atomic.Int64
-	out, err := RunTrialsContext(ctx, 1000, 7, 4, func(i int, src *rng.Source) float64 {
-		if started.Add(1) == 10 {
-			cancel()
-		}
-		return 1
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(out) != 1000 {
-		t.Fatalf("len = %d", len(out))
-	}
-	done := 0
-	for _, v := range out {
-		if v != 0 {
-			done++
-		}
-	}
-	if done >= 1000 {
-		t.Error("cancellation mid-flight did not stop the batch")
-	}
-}
-
-func TestRunOutcomesContextMatchesRunOutcomes(t *testing.T) {
-	trial := func(i int, src *rng.Source) Outcome {
-		return Outcome{Rounds: float64(src.Uint64n(100)), Win: i%2 == 0}
-	}
-	a := RunOutcomes(40, 3, 4, trial)
-	b, err := RunOutcomesContext(context.Background(), 40, 3, 2, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("outcome %d differs: %+v vs %+v", i, a[i], b[i])
-		}
 	}
 }
 

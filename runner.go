@@ -39,11 +39,10 @@ type RoundObserver func(trial, round, blueCount int)
 
 // runnerConfig collects the functional options.
 type runnerConfig struct {
-	maxRounds     int
-	workers       int
-	engineWorkers int
-	observer      RoundObserver
-	topology      Topology
+	maxRounds int
+	workers   int
+	observer  RoundObserver
+	topology  Topology
 }
 
 // RunnerOption configures a Runner.
@@ -56,15 +55,6 @@ func WithMaxRounds(n int) RunnerOption { return func(c *runnerConfig) { c.maxRou
 // GOMAXPROCS). Trial outcomes are independent of this setting: every trial
 // draws only from its own seed stream.
 func WithWorkers(n int) RunnerOption { return func(c *runnerConfig) { c.workers = n } }
-
-// WithEngineWorkers sets the per-trial engine parallelism. The default is
-// 1, which makes every trial's trajectory a function of the spec alone —
-// the property the CLI/server equivalence guarantees rest on. Values > 1
-// shard each round across that many goroutines (trajectories then depend
-// on the worker count, deterministically); 0 uses GOMAXPROCS.
-func WithEngineWorkers(n int) RunnerOption {
-	return func(c *runnerConfig) { c.engineWorkers = n }
-}
 
 // WithObserver streams per-round blue counts to fn as trials execute, e.g.
 // to feed a live trace.
@@ -96,7 +86,7 @@ type Runner struct {
 // The spec is normalised (Trials 0 → 1) and captured by value; later
 // mutation of the caller's copy has no effect.
 func NewRunner(s RunSpec, opts ...RunnerOption) (*Runner, error) {
-	cfg := runnerConfig{engineWorkers: 1}
+	var cfg runnerConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -222,13 +212,16 @@ func (r *Runner) Stream(ctx context.Context) (<-chan TrialResult, error) {
 	return out, nil
 }
 
-// runTrial executes one trial with its derived seed.
+// runTrial executes one trial with its derived seed. The engine always
+// runs one worker per trial, which makes every trial's trajectory a
+// function of the spec alone — the property the CLI/server equivalence
+// guarantees rest on; parallelism comes from running trials concurrently.
 func (r *Runner) runTrial(ctx context.Context, g Topology, i int) TrialResult {
 	seed := r.spec.TrialSeed(i)
 	opt := core.Options{
 		Seed:      seed,
 		MaxRounds: r.spec.MaxRounds,
-		Workers:   r.cfg.engineWorkers,
+		Workers:   1,
 		Rule:      r.rule,
 		Engine:    r.engine,
 		Variant:   r.spec.CoreVariant(),
