@@ -219,11 +219,11 @@ func BenchmarkE21SpectralComparison(b *testing.B) {
 
 // --- Ablation benches (design choices listed in DESIGN.md) ---
 
-// benchStepOnce builds a process and times repeated Step calls.
-func benchStep(b *testing.B, g dynamics.Topology, rule dynamics.Rule, workers int) {
+// benchStep builds a process and times repeated Step calls.
+func benchStep(b *testing.B, g dynamics.Topology, rule dynamics.Rule) {
 	b.Helper()
 	cfg := opinion.RandomConfig(g.N(), 0.4, rng.New(7))
-	p, err := dynamics.New(g, rule, cfg, dynamics.Options{Seed: 8, Workers: workers})
+	p, err := dynamics.New(g, rule, cfg, dynamics.Options{Seed: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,34 +236,29 @@ func benchStep(b *testing.B, g dynamics.Topology, rule dynamics.Rule, workers in
 
 func BenchmarkAblationStepSequential(b *testing.B) {
 	g := graph.RandomRegular(1<<15, 32, rng.New(1))
-	benchStep(b, g, dynamics.BestOfThree, 1)
-}
-
-func BenchmarkAblationStepParallel(b *testing.B) {
-	g := graph.RandomRegular(1<<15, 32, rng.New(1))
-	benchStep(b, g, dynamics.BestOfThree, 0)
+	benchStep(b, g, dynamics.BestOfThree)
 }
 
 func BenchmarkAblationWithReplacement(b *testing.B) {
 	g := graph.RandomRegular(1<<14, 32, rng.New(2))
-	benchStep(b, g, dynamics.Rule{K: 3}, 0)
+	benchStep(b, g, dynamics.Rule{K: 3})
 }
 
 func BenchmarkAblationWithoutReplacement(b *testing.B) {
 	g := graph.RandomRegular(1<<14, 32, rng.New(2))
-	benchStep(b, g, dynamics.Rule{K: 3, WithoutReplacement: true}, 0)
+	benchStep(b, g, dynamics.Rule{K: 3, WithoutReplacement: true})
 }
 
 func BenchmarkAblationTieKeepVsRandom(b *testing.B) {
 	g := graph.RandomRegular(1<<14, 32, rng.New(3))
-	b.Run("keep", func(b *testing.B) { benchStep(b, g, dynamics.Rule{K: 2, Tie: dynamics.TieKeep}, 0) })
-	b.Run("random", func(b *testing.B) { benchStep(b, g, dynamics.Rule{K: 2, Tie: dynamics.TieRandom}, 0) })
+	b.Run("keep", func(b *testing.B) { benchStep(b, g, dynamics.Rule{K: 2, Tie: dynamics.TieKeep}) })
+	b.Run("random", func(b *testing.B) { benchStep(b, g, dynamics.Rule{K: 2, Tie: dynamics.TieRandom}) })
 }
 
 func BenchmarkAblationVirtualVsMaterialisedComplete(b *testing.B) {
 	const n = 4096
-	b.Run("virtual", func(b *testing.B) { benchStep(b, graph.NewKn(n), dynamics.BestOfThree, 0) })
-	b.Run("materialised", func(b *testing.B) { benchStep(b, graph.Complete(n), dynamics.BestOfThree, 0) })
+	b.Run("virtual", func(b *testing.B) { benchStep(b, graph.NewKn(n), dynamics.BestOfThree) })
+	b.Run("materialised", func(b *testing.B) { benchStep(b, graph.Complete(n), dynamics.BestOfThree) })
 }
 
 func BenchmarkEndToEndConsensus(b *testing.B) {

@@ -4,7 +4,7 @@
 //
 // Scenarios cover the three layers of the stack: raw round throughput of
 // the dynamics engines per graph family and size (including the mean-field
-// K_n fast path against the general sharded engine on the same instance),
+// K_n fast path against the general engine on the same instance),
 // trial throughput through the public repro.Runner, and end-to-end job
 // throughput through an in-process bo3serve HTTP server.
 //

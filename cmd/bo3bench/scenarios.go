@@ -61,7 +61,7 @@ var scenarios = []scenario{
 	},
 	{
 		name:        "round/kn-general",
-		description: "per-round cost of the general sharded engine on the same virtual K_n instance",
+		description: "per-round cost of the general engine on the same virtual K_n instance",
 		run:         func(s Scale) (map[string]any, map[string]float64, error) { return roundKn(s, dynamics.EngineGeneral) },
 	},
 	{

@@ -35,7 +35,7 @@
 // (spec field "engine", default "auto"): complete-graph specs
 // (complete-virtual) take a mean-field fast path that advances a round in
 // O(1) — two binomial draws against the exact blue-count chain — while
-// everything else runs the general sharded engine with batched sampling.
+// everything else runs the general per-vertex engine with batched sampling.
 // "general" opts a spec out for A/B validation; docs/PERFORMANCE.md
 // documents the architecture and the committed BENCH_engine.json baseline
 // (regenerable with cmd/bo3bench).

@@ -99,16 +99,14 @@ type Options struct {
 	// MaxRounds caps the run; 0 means a generous default derived from the
 	// prediction.
 	MaxRounds int
-	// Workers is the per-round parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Rule overrides the protocol (zero value = Best-of-Three). Exposed so
 	// the facade also serves the baseline protocols.
 	Rule dynamics.Rule
 	// Engine selects the round engine; the zero value (EngineAuto) takes
 	// the O(1) mean-field fast path on eligible topologies (graph.Kn) and
-	// the general sharded engine otherwise. EngineGeneral forces the
-	// general engine for A/B validation. Non-sync variants always run
-	// per-vertex sampling and ignore this field; the spec registry rejects
+	// the general engine otherwise. EngineGeneral forces the general
+	// engine for A/B validation. Non-sync variants always run per-vertex
+	// sampling and ignore this field; the spec registry rejects
 	// EngineMeanField with one.
 	Engine dynamics.Engine
 	// Variant selects the dynamic (sync, async, stubborn, plurality); the
@@ -162,9 +160,9 @@ func Run(ctx context.Context, g Topology, delta float64, opt Options) (Report, e
 	}, err
 }
 
-// EngineFor reports which engine a Run with the given options would
-// execute on (g, rule): "general" or "mean-field". The serve layer records
+// EngineFor reports which engine a synchronous Run with the given engine
+// mode executes on g: "general" or "mean-field". The serve layer records
 // it per job.
-func EngineFor(g Topology, rule dynamics.Rule, e dynamics.Engine) string {
-	return dynamics.ResolveEngine(e, g, rule).String()
+func EngineFor(g Topology, e dynamics.Engine) string {
+	return dynamics.ResolveEngine(e, g).String()
 }

@@ -62,7 +62,6 @@ var (
 		{"k40noise0.4", &spec.RuleSpec{K: 40, Noise: 0.4}},
 	}
 	goldenEngines = []string{"auto", "general"}
-	goldenWorkers = []int{1, 3}
 	goldenSeeds   = []uint64{1, 2, 3}
 )
 
@@ -90,27 +89,24 @@ func goldenLines(t *testing.T) []string {
 					}
 					rule, _ := s.DynamicsRule()
 					engine, _ := s.EngineMode()
-					for _, w := range goldenWorkers {
-						for _, seed := range goldenSeeds {
-							rep, err := core.Run(context.Background(), g, s.Delta, core.Options{
-								Seed:      seed,
-								MaxRounds: s.MaxRounds,
-								Workers:   w,
-								Rule:      rule,
-								Engine:    engine,
-								Variant:   s.CoreVariant(),
-							})
-							if err != nil {
-								t.Fatalf("%s/%s/%s/%s: %v", gr.label, v.label, r.label, e, err)
-							}
-							traj := make([]string, len(rep.BlueTrajectory))
-							for i, b := range rep.BlueTrajectory {
-								traj[i] = strconv.Itoa(b)
-							}
-							lines = append(lines, fmt.Sprintf("%s/%s/%s/%s/w%d/s%d rounds=%d consensus=%t red_won=%t blues=%s",
-								gr.label, v.label, r.label, e, w, seed,
-								rep.Rounds, rep.Consensus, rep.RedWon, strings.Join(traj, ",")))
+					for _, seed := range goldenSeeds {
+						rep, err := core.Run(context.Background(), g, s.Delta, core.Options{
+							Seed:      seed,
+							MaxRounds: s.MaxRounds,
+							Rule:      rule,
+							Engine:    engine,
+							Variant:   s.CoreVariant(),
+						})
+						if err != nil {
+							t.Fatalf("%s/%s/%s/%s: %v", gr.label, v.label, r.label, e, err)
 						}
+						traj := make([]string, len(rep.BlueTrajectory))
+						for i, b := range rep.BlueTrajectory {
+							traj[i] = strconv.Itoa(b)
+						}
+						lines = append(lines, fmt.Sprintf("%s/%s/%s/%s/s%d rounds=%d consensus=%t red_won=%t blues=%s",
+							gr.label, v.label, r.label, e, seed,
+							rep.Rounds, rep.Consensus, rep.RedWon, strings.Join(traj, ",")))
 					}
 				}
 			}
@@ -120,8 +116,8 @@ func goldenLines(t *testing.T) []string {
 }
 
 // TestGoldenTrajectories pins core.Run's v1 RNG streams case by case:
-// every variant, engine path, rule branch (with and without replacement,
-// tie rules, noise through both Binomial branches) and worker count must
+// every variant, engine path and rule branch (with and without
+// replacement, tie rules, noise through both Binomial branches) must
 // reproduce the committed rounds, outcome and per-round blue counts
 // exactly. A refactor of the run loop or the sampling kernel that keeps
 // the streams passes unchanged; one that moves a single RNG draw fails

@@ -58,15 +58,15 @@ func (v Variant) Resolved() string {
 // process. Every variant derives all randomness from one rng.New(opt.Seed)
 // source in a fixed order (initial configuration first, then any variant
 // state, then the process seed), so a trial's trajectory stays a pure
-// function of (spec, engine workers) — the byte-equivalence contract.
-// Non-sync variants always run the general engine (see EngineForVariant).
+// function of the spec — the byte-equivalence contract. Non-sync variants
+// always run the general engine.
 func newProcess(g Topology, delta float64, rule dynamics.Rule, opt Options) (dynamics.Dynamic, error) {
 	src := rng.New(opt.Seed)
 	n := g.N()
 	switch opt.Variant.Resolved() {
 	case VariantSync:
 		init := opinion.RandomConfig(n, 0.5-delta, src)
-		return dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Workers: opt.Workers, Engine: opt.Engine})
+		return dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Engine: opt.Engine})
 	case VariantAsync:
 		init := opinion.RandomConfig(n, 0.5-delta, src)
 		return dynamics.NewAsync(g, rule, init, src.Uint64())
@@ -80,7 +80,7 @@ func newProcess(g Topology, delta float64, rule dynamics.Rule, opt Options) (dyn
 		for _, v := range stub {
 			init.Set(v, opinion.Blue)
 		}
-		return dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Workers: opt.Workers, Engine: dynamics.EngineGeneral, Stubborn: stub})
+		return dynamics.New(g, rule, init, dynamics.Options{Seed: src.Uint64(), Engine: dynamics.EngineGeneral, Stubborn: stub})
 	case VariantPlurality:
 		q := opt.Variant.Q
 		// share0 = 1/q + delta generalises the two-party 1/2 + delta: at
@@ -90,18 +90,8 @@ func newProcess(g Topology, delta float64, rule dynamics.Rule, opt Options) (dyn
 		if rule.Tie == dynamics.TieRandom {
 			tie = plurality.TieRandomSample
 		}
-		return plurality.New(g, init, plurality.Options{Seed: src.Uint64(), Workers: opt.Workers, Tie: tie})
+		return plurality.New(g, init, plurality.Options{Seed: src.Uint64(), Tie: tie})
 	default:
 		return nil, fmt.Errorf("core: unknown variant %q", opt.Variant.Name)
 	}
-}
-
-// EngineForVariant reports which engine a Run with the given options
-// executes on: non-sync variants always run per-vertex sampling
-// ("general"); the sync default resolves through the engine seam.
-func EngineForVariant(v Variant, g Topology, rule dynamics.Rule, e dynamics.Engine) string {
-	if v.Resolved() != VariantSync {
-		return dynamics.EngineGeneral.String()
-	}
-	return EngineFor(g, rule, e)
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dynamics"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -127,24 +126,5 @@ func TestAsyncConsensusOnComplete(t *testing.T) {
 	}
 	if len(rep.BlueTrajectory) != rep.Rounds+1 {
 		t.Fatalf("trajectory length %d for %d sweeps", len(rep.BlueTrajectory), rep.Rounds)
-	}
-}
-
-// TestEngineForVariant pins the engine seam: non-sync variants always
-// report the general engine (without building topology state), the sync
-// default resolves through EngineFor.
-func TestEngineForVariant(t *testing.T) {
-	g := graph.NewKn(64)
-	if e := EngineForVariant(Variant{}, g, dynamics.BestOfThree, dynamics.EngineAuto); e != "mean-field" {
-		t.Fatalf("sync on K_n resolved %q, want mean-field", e)
-	}
-	for _, v := range []Variant{
-		{Name: VariantAsync},
-		{Name: VariantStubborn, StubbornFrac: 0.1},
-		{Name: VariantPlurality, Q: 3},
-	} {
-		if e := EngineForVariant(v, g, dynamics.BestOfThree, dynamics.EngineAuto); e != "general" {
-			t.Fatalf("%s resolved %q, want general", v.Name, e)
-		}
 	}
 }

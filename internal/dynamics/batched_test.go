@@ -9,66 +9,61 @@ import (
 )
 
 // refStep replicates the pre-batching scalar update loop exactly — raw
-// per-sample Uint64n draws, bit-by-bit reads and writes — over the same
-// shard layout and per-shard streams the engine uses. The batched engine
+// per-sample Uint64n draws, bit-by-bit reads and writes — over [0, n),
+// drawing from src, a copy of the engine's one stream. The batched engine
 // must reproduce it byte for byte: buffering refills words in blocks but
 // consumes them in the identical order, so the trajectory contract (fixed
-// seed and workers ⇒ fixed outcome) survives the optimisation.
-func refStep(g Topology, rule Rule, cur, next *opinion.Config, shards []struct {
-	lo, hi int
-	src    *rng.Source
-}) {
+// seed ⇒ fixed outcome) survives the optimisation.
+func refStep(g Topology, rule Rule, cur, next *opinion.Config, src *rng.Source) {
 	k := rule.K
-	for _, s := range shards {
-		for v := s.lo; v < s.hi; v++ {
-			deg := g.Degree(v)
-			blues := 0
-			if rule.WithoutReplacement && deg >= k {
-				chosen := make([]int, 0, k)
-				for i := 0; i < k; i++ {
-				retry:
-					idx := s.src.Intn(deg)
-					for _, c := range chosen {
-						if c == idx {
-							goto retry
-						}
-					}
-					chosen = append(chosen, idx)
-					if cur.Get(g.Neighbor(v, idx)) == opinion.Blue {
-						blues++
+	for v := 0; v < g.N(); v++ {
+		deg := g.Degree(v)
+		blues := 0
+		if rule.WithoutReplacement && deg >= k {
+			chosen := make([]int, 0, k)
+			for i := 0; i < k; i++ {
+			retry:
+				idx := src.Intn(deg)
+				for _, c := range chosen {
+					if c == idx {
+						goto retry
 					}
 				}
-			} else {
-				for i := 0; i < k; i++ {
-					if cur.Get(g.Neighbor(v, s.src.Intn(deg))) == opinion.Blue {
-						blues++
-					}
+				chosen = append(chosen, idx)
+				if cur.Get(g.Neighbor(v, idx)) == opinion.Blue {
+					blues++
 				}
 			}
-			var col opinion.Colour
-			switch {
-			case 2*blues > k:
-				col = opinion.Blue
-			case 2*blues < k:
-				col = opinion.Red
-			default:
-				if rule.Tie == TieKeep {
-					col = cur.Get(v)
-				} else if s.src.Bernoulli(0.5) {
-					col = opinion.Blue
-				} else {
-					col = opinion.Red
+		} else {
+			for i := 0; i < k; i++ {
+				if cur.Get(g.Neighbor(v, src.Intn(deg))) == opinion.Blue {
+					blues++
 				}
 			}
-			next.Set(v, col)
 		}
+		var col opinion.Colour
+		switch {
+		case 2*blues > k:
+			col = opinion.Blue
+		case 2*blues < k:
+			col = opinion.Red
+		default:
+			if rule.Tie == TieKeep {
+				col = cur.Get(v)
+			} else if src.Bernoulli(0.5) {
+				col = opinion.Blue
+			} else {
+				col = opinion.Red
+			}
+		}
+		next.Set(v, col)
 	}
 }
 
 // TestBatchedMatchesScalarReference pins the determinism contract of the
-// batched general engine: for every rule shape and worker count, each
-// round's configuration is byte-identical to the reference scalar
-// implementation driven by the same (seed, workers) streams.
+// batched general engine: for every rule shape, each round's configuration
+// is byte-identical to the reference scalar implementation driven by the
+// same seed's stream.
 func TestBatchedMatchesScalarReference(t *testing.T) {
 	const n, seed = 640, 77
 	g := graph.RandomRegular(n, 12, rng.New(1))
@@ -81,34 +76,24 @@ func TestBatchedMatchesScalarReference(t *testing.T) {
 		{K: 4, Tie: TieRandom, WithoutReplacement: true},
 	}
 	for _, rule := range rules {
-		for _, workers := range []int{1, 3} {
-			init := opinion.RandomConfig(n, 0.45, rng.New(2))
-			p, err := New(g, rule, init, Options{Seed: seed, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Engine() != EngineGeneral {
-				t.Fatalf("%s: unexpected engine %v", rule.Name(), p.Engine())
-			}
-			// Mirror the engine's shard layout and streams.
-			shards := make([]struct {
-				lo, hi int
-				src    *rng.Source
-			}, len(p.shards))
-			for i, s := range p.shards {
-				shards[i].lo, shards[i].hi = s.lo, s.hi
-				shards[i].src = rng.NewFrom(seed, uint64(i))
-			}
-			cur := init.Clone()
-			next := opinion.NewConfig(n)
-			for round := 0; round < 12; round++ {
-				p.Step()
-				refStep(g, rule, cur, next, shards)
-				cur, next = next, cur
-				if !p.Config().Equal(cur) {
-					t.Fatalf("%s workers=%d: batched engine diverged from scalar reference at round %d (blues %d vs %d)",
-						rule.Name(), workers, round+1, p.Config().Blues(), cur.Blues())
-				}
+		init := opinion.RandomConfig(n, 0.45, rng.New(2))
+		p, err := New(g, rule, init, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Engine() != EngineGeneral {
+			t.Fatalf("%s: unexpected engine %v", rule.Name(), p.Engine())
+		}
+		src := rng.NewFrom(seed, 0)
+		cur := init.Clone()
+		next := opinion.NewConfig(n)
+		for round := 0; round < 12; round++ {
+			p.Step()
+			refStep(g, rule, cur, next, src)
+			cur, next = next, cur
+			if !p.Config().Equal(cur) {
+				t.Fatalf("%s: batched engine diverged from scalar reference at round %d (blues %d vs %d)",
+					rule.Name(), round+1, p.Config().Blues(), cur.Blues())
 			}
 		}
 	}
@@ -120,23 +105,16 @@ func TestBatchedKnMatchesReference(t *testing.T) {
 	const n, seed = 320, 31
 	g := graph.NewKn(n)
 	init := opinion.RandomConfig(n, 0.4, rng.New(3))
-	p, err := New(g, BestOfThree, init, Options{Seed: seed, Workers: 2, Engine: EngineGeneral})
+	p, err := New(g, BestOfThree, init, Options{Seed: seed, Engine: EngineGeneral})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]struct {
-		lo, hi int
-		src    *rng.Source
-	}, len(p.shards))
-	for i, s := range p.shards {
-		shards[i].lo, shards[i].hi = s.lo, s.hi
-		shards[i].src = rng.NewFrom(seed, uint64(i))
-	}
+	src := rng.NewFrom(seed, 0)
 	cur := init.Clone()
 	next := opinion.NewConfig(n)
 	for round := 0; round < 10; round++ {
 		p.Step()
-		refStep(g, BestOfThree, cur, next, shards)
+		refStep(g, BestOfThree, cur, next, src)
 		cur, next = next, cur
 		if !p.Config().Equal(cur) {
 			t.Fatalf("K_n general engine diverged from reference at round %d", round+1)
@@ -145,12 +123,12 @@ func TestBatchedKnMatchesReference(t *testing.T) {
 }
 
 // TestNoiseDeterminism pins the scalar fallback: noisy rules remain a
-// deterministic function of (seed, workers).
+// deterministic function of the seed.
 func TestNoiseDeterminism(t *testing.T) {
 	g := graph.RandomRegular(256, 8, rng.New(4))
 	cfg := opinion.RandomConfig(256, 0.4, rng.New(5))
 	run := func() []int {
-		p, err := New(g, Rule{K: 3, Noise: 0.05}, cfg, Options{Seed: 6, Workers: 3})
+		p, err := New(g, Rule{K: 3, Noise: 0.05}, cfg, Options{Seed: 6})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,15 +11,16 @@
 // Two engines implement a round, selected by an automatic dispatch seam
 // (see Engine):
 //
-//   - The general engine double-buffers the configuration and shards the
-//     vertex range across a worker pool; each shard owns an independent RNG
-//     stream fronted by a refill buffer (64-word blocks drawn at once,
-//     Lemire bounded reduction per sample), opinions are read and written
-//     word-at-a-time against the packed bitsets, and runs are deterministic
-//     for a fixed (seed, worker count) pair with updates race-free by
-//     construction. The buffered sampler consumes generator words in
-//     exactly the order the scalar sampler would, so batching does not
-//     change any trajectory.
+//   - The general engine double-buffers the configuration and sweeps the
+//     vertices in order on the calling goroutine, drawing every sample from
+//     the process's one RNG stream, fronted by a refill buffer (blocks of
+//     words drawn at once, Lemire bounded reduction per sample). Opinions
+//     are read and written word-at-a-time against the packed bitsets, and
+//     a run is a deterministic function of its seed. The buffered sampler
+//     consumes generator words in exactly the order the scalar sampler
+//     would, so batching does not change any trajectory. Parallelism lives
+//     one level up: callers run independent processes (trials)
+//     concurrently.
 //   - The mean-field engine advances topologies that declare mean-field
 //     exchangeability (the virtual complete graph graph.Kn) in O(1) per
 //     round: the blue count is a Markov chain, so one round is two binomial
@@ -36,8 +37,6 @@ package dynamics
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/opinion"
 	"repro/internal/rng"
@@ -84,11 +83,11 @@ type Engine uint8
 
 const (
 	// EngineAuto picks the mean-field fast path when the topology declares
-	// mean-field eligibility (see MeanFielder) and the general sharded
-	// engine otherwise. This is the default.
+	// mean-field eligibility (see MeanFielder) and the general engine
+	// otherwise. This is the default.
 	EngineAuto Engine = iota
-	// EngineGeneral forces the per-vertex sharded sampling engine, e.g. for
-	// A/B validation against the mean-field path.
+	// EngineGeneral forces the per-vertex sampling engine, e.g. for A/B
+	// validation against the mean-field path.
 	EngineGeneral
 	// EngineMeanField requires the mean-field fast path; New fails if the
 	// topology does not declare eligibility.
@@ -124,11 +123,11 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // ResolveEngine reports which engine New selects for the requested mode on
-// (g, rule): EngineAuto resolves to EngineMeanField exactly when the
-// topology declares mean-field eligibility. The returned value is always
+// g: EngineAuto resolves to EngineMeanField exactly when the topology
+// declares mean-field eligibility. The returned value is always
 // EngineGeneral or EngineMeanField; a forced EngineMeanField is returned
 // as requested even when ineligible (New then fails with the reason).
-func ResolveEngine(e Engine, g Topology, rule Rule) Engine {
+func ResolveEngine(e Engine, g Topology) Engine {
 	switch e {
 	case EngineGeneral:
 		return EngineGeneral
@@ -223,18 +222,20 @@ func (r Rule) Name() string {
 }
 
 // Process is a running dynamic on a fixed graph. It owns two configuration
-// buffers and a set of per-shard RNG streams. A Process is not safe for
-// concurrent use by multiple goroutines; the internal parallelism of Step
-// is self-contained.
+// buffers and one RNG stream. A Process is not safe for concurrent use by
+// multiple goroutines, and Step starts none.
 type Process struct {
-	g       Topology
-	rule    Rule
-	cur     *opinion.Config
-	next    *opinion.Config
-	shards  []shard
-	round   int
-	workers int
-	engine  Engine
+	g      Topology
+	rule   Rule
+	cur    *opinion.Config
+	next   *opinion.Config
+	round  int
+	engine Engine
+
+	// src drives every draw: the noisy scalar path and the mean-field step
+	// read it directly, the noise-free batched path through buf.
+	src *rng.Source
+	buf sampleBuf
 
 	// Mean-field state: the blue count is the whole configuration. cur is
 	// materialised from it lazily (mfDirty tracks staleness) so Config()
@@ -248,18 +249,9 @@ type Process struct {
 	frozenBits []uint64
 }
 
-type shard struct {
-	lo, hi int
-	src    *rng.Source
-	buf    sampleBuf
-}
-
 // Options configures a Process.
 type Options struct {
-	// Workers is the number of parallel shards; 0 means GOMAXPROCS.
-	Workers int
-	// Seed drives all sampling; equal seeds with equal worker counts give
-	// identical trajectories.
+	// Seed drives all sampling; equal seeds give identical trajectories.
 	Seed uint64
 	// Engine selects the per-round implementation; the zero value
 	// (EngineAuto) uses the mean-field fast path on eligible topologies.
@@ -286,17 +278,7 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 	if g.N() > 0 && g.MinDegree() == 0 {
 		return nil, fmt.Errorf("dynamics: graph %s has an isolated vertex; every vertex must be able to sample a neighbour", g.Name())
 	}
-	w := opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > g.N() {
-		w = g.N()
-	}
-	if w < 1 {
-		w = 1
-	}
-	engine := ResolveEngine(opt.Engine, g, rule)
+	engine := ResolveEngine(opt.Engine, g)
 	if len(opt.Stubborn) > 0 {
 		if opt.Engine == EngineMeanField {
 			return nil, fmt.Errorf("dynamics: stubborn vertices require the general engine (frozen vertices break mean-field exchangeability)")
@@ -309,36 +291,18 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 			return nil, fmt.Errorf("dynamics: engine %q requested but topology %s does not declare mean-field eligibility", EngineMeanField, g.Name())
 		}
 	}
+	src := rng.NewFrom(opt.Seed, 0)
 	p := &Process{
 		g:       g,
 		rule:    rule,
 		cur:     init.Clone(),
 		next:    opinion.NewConfig(g.N()),
-		workers: w,
 		engine:  engine,
+		src:     src,
+		buf:     sampleBuf{src: src, pos: sampleBufWords},
 		mfBlues: init.Blues(),
 	}
 	n := g.N()
-	// Shard boundaries are aligned to 64-vertex blocks: configurations are
-	// packed bitsets, and two shards writing different bits of one word
-	// would be a read-modify-write data race with lost updates.
-	bounds := make([]int, w+1)
-	for i := 1; i < w; i++ {
-		bounds[i] = (i * n / w) &^ 63
-		if bounds[i] < bounds[i-1] {
-			bounds[i] = bounds[i-1]
-		}
-	}
-	bounds[w] = n
-	for i := 0; i < w; i++ {
-		p.shards = append(p.shards, shard{
-			lo:  bounds[i],
-			hi:  bounds[i+1],
-			src: rng.NewFrom(opt.Seed, uint64(i)),
-		})
-		p.shards[i].buf.src = p.shards[i].src
-		p.shards[i].buf.pos = sampleBufWords
-	}
 	if len(opt.Stubborn) > 0 {
 		p.frozenMask = make([]uint64, len(p.cur.BlueSet().Words()))
 		for _, v := range opt.Stubborn {
@@ -430,18 +394,14 @@ func (p *Process) Step() {
 		p.round++
 		return
 	}
-	if p.workers == 1 {
-		p.stepRange(&p.shards[0])
+	// Noise-free rules take the batched path (buffered RNG, word-at-a-time
+	// bitset access); noisy rules keep the scalar path, whose per-vertex
+	// Binomial draws pull from the raw source and must not interleave with
+	// the refill buffer.
+	if p.rule.Noise > 0 {
+		p.stepScalar()
 	} else {
-		var wg sync.WaitGroup
-		for i := range p.shards {
-			wg.Add(1)
-			go func(s *shard) {
-				defer wg.Done()
-				p.stepRange(s)
-			}(&p.shards[i])
-		}
-		wg.Wait()
+		p.stepBatched()
 	}
 	p.cur, p.next = p.next, p.cur
 	if p.frozenMask != nil {
@@ -453,37 +413,23 @@ func (p *Process) Step() {
 	p.round++
 }
 
-// stepRange updates vertices [s.lo, s.hi) into p.next. Noise-free rules
-// take the batched path (buffered RNG, word-at-a-time bitset access);
-// noisy rules keep the scalar path, whose per-vertex Binomial draws pull
-// from the raw source and must not interleave with a refill buffer.
-func (p *Process) stepRange(s *shard) {
-	if p.rule.Noise > 0 {
-		p.stepRangeScalar(s.lo, s.hi, s.src)
-		return
-	}
-	p.stepRangeBatched(s.lo, s.hi, &s.buf)
-}
-
-// stepRangeBatched is the noise-free hot path. Uniform words come from the
-// shard's refill buffer (consumed in exactly the order the scalar path
-// would draw them, so trajectories are unchanged), opinions are read by
-// direct word indexing, and the 64 results of each aligned vertex block
-// are assembled in a register and stored with one write. Shard bounds are
-// 64-aligned, so blocks never straddle shards.
-func (p *Process) stepRangeBatched(lo, hi int, buf *sampleBuf) {
+// stepBatched is the noise-free hot path. Uniform words come from the
+// refill buffer (consumed in exactly the order the scalar path would draw
+// them, so trajectories are unchanged), opinions are read by direct word
+// indexing, and the 64 results of each aligned vertex block are assembled
+// in a register and stored with one write.
+func (p *Process) stepBatched() {
 	k := p.rule.K
 	g := p.g
+	n := g.N()
 	ns, hasRows := g.(neighborSlicer)
 	curWords := p.cur.BlueSet().Words()
 	next := p.next.BlueSet()
+	buf := &p.buf
 	tieRandom := p.rule.Tie == TieRandom
 	woRepl := p.rule.WithoutReplacement
-	for base := lo; base < hi; base += 64 {
-		end := base + 64
-		if end > hi {
-			end = hi
-		}
+	for base := 0; base < n; base += 64 {
+		end := min(base+64, n)
 		var out uint64
 		for v := base; v < end; v++ {
 			deg := g.Degree(v)
@@ -522,19 +468,18 @@ func (p *Process) stepRangeBatched(lo, hi int, buf *sampleBuf) {
 	}
 }
 
-// stepRangeScalar is the update loop for rules with per-sample noise:
-// their Binomial draws consume the raw source directly, and the trajectory
-// contract (fixed seed and workers ⇒ fixed outcome) pins this consumption
-// order. Like the batched path it assembles each 64-vertex block in a
-// register and stores it with one write.
-func (p *Process) stepRangeScalar(lo, hi int, src *rng.Source) {
+// stepScalar is the update loop for rules with per-sample noise: their
+// Binomial draws consume the raw source directly, and the trajectory
+// contract (fixed seed ⇒ fixed outcome) pins this consumption order. Like
+// the batched path it assembles each 64-vertex block in a register and
+// stores it with one write.
+func (p *Process) stepScalar() {
+	n := p.g.N()
 	cur := p.cur.BlueSet().Words()
 	next := p.next.BlueSet()
-	for base := lo; base < hi; base += 64 {
-		end := base + 64
-		if end > hi {
-			end = hi
-		}
+	src := p.src
+	for base := 0; base < n; base += 64 {
+		end := min(base+64, n)
 		var out uint64
 		for v := base; v < end; v++ {
 			out |= updateScalar(p.g, &p.rule, cur, v, src) << (uint(v) & 63)
@@ -607,7 +552,7 @@ func updateScalar(g Topology, rule *Rule, cur []uint64, v int, src *rng.Source) 
 }
 
 // sampleDistinctBatched counts blue opinions among k distinct uniform
-// neighbours of v via a partial Floyd sample drawing from the shard
+// neighbours of v via a partial Floyd sample drawing from the refill
 // buffer. k is tiny in practice (≤ 5), so the rejection loop is cheap;
 // k > 8 spills the seen-index scratch to the heap instead of overrunning
 // it.

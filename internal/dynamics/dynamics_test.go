@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -111,7 +112,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	g := graph.RandomRegular(256, 8, rng.New(10))
 	cfg := opinion.RandomConfig(256, 0.4, rng.New(11))
 	run := func() []int {
-		p, err := New(g, BestOfThree, cfg, Options{Seed: 42, Workers: 4})
+		p, err := New(g, BestOfThree, cfg, Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,20 +129,36 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestWorkerCountInvariance(t *testing.T) {
-	// Different worker counts use different RNG stream layouts, so exact
-	// trajectories may differ, but the one-round marginal behaviour must
-	// stay sane: a heavily red configuration stays heavily red.
-	g := graph.Complete(200)
-	cfg := opinion.RandomConfig(200, 0.1, rng.New(12))
-	for _, w := range []int{1, 3, 8} {
-		p, err := New(g, BestOfThree, cfg, Options{Seed: 13, Workers: w})
+// TestTrajectoryIndependentOfGOMAXPROCS pins the one-stream contract: a
+// Process draws every sample from one source derived from its seed, so the
+// same seed gives the same configuration after every round whatever the
+// core count. Every round is compared, not only the last: a rule that has
+// already reached consensus would hide an earlier split.
+func TestTrajectoryIndependentOfGOMAXPROCS(t *testing.T) {
+	const n, rounds = 640, 20
+	g := graph.RandomRegular(n, 12, rng.New(1))
+	init := opinion.RandomConfig(n, 0.45, rng.New(2))
+	trajectory := func(rule Rule, procs int) []*opinion.Config {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, err := New(g, rule, init, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Step()
-		if frac := p.Config().BlueFraction(); frac > 0.2 {
-			t.Errorf("workers=%d: blue fraction jumped to %v", w, frac)
+		var out []*opinion.Config
+		for r := 0; r < rounds; r++ {
+			p.Step()
+			out = append(out, p.Config().Clone())
+		}
+		return out
+	}
+	for _, rule := range []Rule{BestOfThree, {K: 3, Noise: 0.05}, {K: 2, Tie: TieRandom}} {
+		one, four := trajectory(rule, 1), trajectory(rule, 4)
+		for r := range one {
+			if !one[r].Equal(four[r]) {
+				t.Errorf("%s: GOMAXPROCS 1 and 4 diverge at round %d (blues %d vs %d)",
+					rule.Name(), r+1, one[r].Blues(), four[r].Blues())
+				break
+			}
 		}
 	}
 }
@@ -370,8 +387,8 @@ func TestQuickColourSymmetry(t *testing.T) {
 		flipped := cfg.Clone()
 		flipped.BlueSet().FlipAll()
 
-		p1, _ := New(g, BestOfThree, cfg, Options{Seed: seed, Workers: 1})
-		p2, _ := New(g, BestOfThree, flipped, Options{Seed: seed, Workers: 1})
+		p1, _ := New(g, BestOfThree, cfg, Options{Seed: seed})
+		p2, _ := New(g, BestOfThree, flipped, Options{Seed: seed})
 		p1.Step()
 		p2.Step()
 		// After one step with identical sampling randomness, p2 must be the
@@ -411,23 +428,6 @@ func BenchmarkStepRegular65536(b *testing.B) {
 	}
 }
 
-func BenchmarkStepSequentialVsParallel(b *testing.B) {
-	g := graph.RandomRegular(32768, 32, rng.New(1))
-	cfg := opinion.RandomConfig(32768, 0.4, rng.New(2))
-	for _, w := range []int{1, 4} {
-		b.Run(map[int]string{1: "workers1", 4: "workers4"}[w], func(b *testing.B) {
-			p, err := New(g, BestOfThree, cfg, Options{Seed: 3, Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Step()
-			}
-		})
-	}
-}
-
 func BenchmarkAsyncSweep(b *testing.B) {
 	g := graph.RandomRegular(8192, 32, rng.New(1))
 	cfg := opinion.RandomConfig(8192, 0.4, rng.New(2))
@@ -441,38 +441,4 @@ func BenchmarkAsyncSweep(b *testing.B) {
 			a.Tick()
 		}
 	}
-}
-
-func TestShardsWordAlignedAndCovering(t *testing.T) {
-	// Regression test: shard boundaries must land on 64-vertex blocks, or
-	// two shards would read-modify-write the same bitset word (a data race
-	// with lost updates, caught by the race detector in
-	// TestWorkerCountInvariance before the alignment fix).
-	g := graph.Complete(3) // topology irrelevant; we only inspect shards
-	for _, c := range []struct{ n, w int }{
-		{200, 3}, {130, 2}, {64, 5}, {1000, 7}, {63, 4}, {1 << 12, 16},
-	} {
-		kn := graph.NewKn(c.n)
-		p, err := New(kn, BestOfThree, opinion.NewConfig(c.n), Options{Workers: c.w, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevHi := 0
-		for i, s := range p.shards {
-			if s.lo != prevHi {
-				t.Fatalf("n=%d w=%d: shard %d starts at %d, want %d (gap/overlap)", c.n, c.w, i, s.lo, prevHi)
-			}
-			if i > 0 && s.lo%64 != 0 {
-				t.Fatalf("n=%d w=%d: shard %d boundary %d not word-aligned", c.n, c.w, i, s.lo)
-			}
-			if s.hi < s.lo {
-				t.Fatalf("n=%d w=%d: shard %d inverted [%d,%d)", c.n, c.w, i, s.lo, s.hi)
-			}
-			prevHi = s.hi
-		}
-		if prevHi != c.n {
-			t.Fatalf("n=%d w=%d: shards cover up to %d", c.n, c.w, prevHi)
-		}
-	}
-	_ = g
 }

@@ -15,7 +15,7 @@ import (
 func ExampleRun() {
 	g := graph.RandomRegular(1024, 64, rng.New(1))
 	init := opinion.RandomConfig(1024, 0.4, rng.New(2))
-	p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: 3, Workers: 1})
+	p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: 3})
 	if err != nil {
 		panic(err)
 	}

@@ -24,12 +24,12 @@ import (
 // expected time (rng.Source.Binomial uses BTRS for large n·p), replacing
 // Θ(n·k) per-sample work per round.
 
-// stepMeanField advances one round on the blue-count chain. All draws come
-// from shard 0's source; worker count is irrelevant to the stream.
+// stepMeanField advances one round on the blue-count chain, drawing from
+// the process's one source.
 func (p *Process) stepMeanField() {
 	n := p.g.N()
 	b := p.mfBlues
-	src := p.shards[0].src
+	src := p.src
 	pRed := p.adoptBlueProb(b, false)
 	pBlue := p.adoptBlueProb(b, true)
 	p.mfBlues = src.Binomial(n-b, pRed) + src.Binomial(b, pBlue)

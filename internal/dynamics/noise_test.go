@@ -31,8 +31,8 @@ func TestNoiseName(t *testing.T) {
 func TestZeroNoiseMatchesNoiselessTrajectory(t *testing.T) {
 	g := graph.RandomRegular(128, 8, rng.New(1))
 	init := opinion.RandomConfig(128, 0.35, rng.New(2))
-	a, _ := New(g, Rule{K: 3}, init, Options{Seed: 3, Workers: 1})
-	b, _ := New(g, Rule{K: 3, Noise: 0}, init, Options{Seed: 3, Workers: 1})
+	a, _ := New(g, Rule{K: 3}, init, Options{Seed: 3})
+	b, _ := New(g, Rule{K: 3, Noise: 0}, init, Options{Seed: 3})
 	for i := 0; i < 10; i++ {
 		a.Step()
 		b.Step()

@@ -25,7 +25,7 @@ func runTo(t testing.TB, p Dynamic, maxRounds int) Result {
 func TestRunCancelledBetweenRounds(t *testing.T) {
 	g := graph.Cycle(512)
 	init := opinion.RandomConfig(512, 0.5, rng.New(4))
-	p, err := New(g, Voter, init, Options{Seed: 5, Workers: 1})
+	p, err := New(g, Voter, init, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,12 @@ import (
 	"repro/internal/rng"
 )
 
-// sampleBufWords is the per-shard refill size: 64+ uniforms drawn per
-// refill keeps the xoshiro state in registers for whole blocks (see
-// rng.Source.Fill) while staying a few cache lines of working set per
-// shard.
+// sampleBufWords is the refill size: 64+ uniforms drawn per refill keeps
+// the xoshiro state in registers for whole blocks (see rng.Source.Fill)
+// while staying a few cache lines of working set per process.
 const sampleBufWords = 256
 
-// sampleBuf fronts a shard's RNG with a block-refilled word buffer. It
+// sampleBuf fronts a process's RNG with a block-refilled word buffer. It
 // consumes source words in exactly the order scalar Uint64 calls would —
 // leftover words persist across rounds, never discarded — so routing the
 // engine's draws through the buffer leaves every trajectory byte-identical

@@ -76,11 +76,11 @@ func TestStubbornEngineSelection(t *testing.T) {
 func TestStubbornEmptySetBehavesLikePlain(t *testing.T) {
 	g := graph.RandomRegular(128, 8, rng.New(3))
 	init := opinion.RandomConfig(128, 0.3, rng.New(4))
-	s, err := New(g, BestOfThree, init, Options{Seed: 5, Workers: 2, Stubborn: []int{}})
+	s, err := New(g, BestOfThree, init, Options{Seed: 5, Stubborn: []int{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(g, BestOfThree, init, Options{Seed: 5, Workers: 2})
+	p, err := New(g, BestOfThree, init, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func E17ForwardBackwardDuality(cfg Config) E17Result {
 	for _, T := range []int{1, 2, 3, 4} {
 		fwd := sim.RunOutcomes(trials, cfg.Seed^uint64(100+T), cfg.Workers, func(i int, s *rng.Source) sim.Outcome {
 			init := opinion.RandomConfig(n, 0.5-delta, s)
-			p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: s.Uint64(), Workers: 1})
+			p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: s.Uint64()})
 			if err != nil {
 				panic(err)
 			}

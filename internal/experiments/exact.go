@@ -167,7 +167,7 @@ func E21SpectralComparison(cfg Config) E21Result {
 		outs := sim.RunOutcomes(cfg.Trials, cfg.Seed+uint64(len(res.Rows)), cfg.Workers, func(i int, s *rng.Source) sim.Outcome {
 			gg := in.build(s)
 			init := opinion.RandomConfig(gg.N(), 0.5-delta, s)
-			p, err := dynamics.New(gg, dynamics.BestOfThree, init, dynamics.Options{Seed: s.Uint64(), Workers: 1})
+			p, err := dynamics.New(gg, dynamics.BestOfThree, init, dynamics.Options{Seed: s.Uint64()})
 			if err != nil {
 				panic(err)
 			}

@@ -169,7 +169,7 @@ func E16AdversarialPlacement(cfg Config) E16Result {
 		for _, placement := range []string{"random", "clustered"} {
 			outs := sim.RunOutcomes(cfg.Trials, cfg.Seed+uint64(len(res.Rows)), cfg.Workers, func(i int, src *rng.Source) sim.Outcome {
 				init := placeBlues(g, blueCount, placement == "clustered", src)
-				p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Workers: 1})
+				p, err := dynamics.New(g, dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64()})
 				if err != nil {
 					panic(err)
 				}

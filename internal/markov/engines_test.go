@@ -12,7 +12,7 @@ import (
 
 // TestEnginesMatchExactChain is the E20-style acceptance test for the
 // engine dispatch: on K_n the mean-field fast path and the general
-// sharded engine must both be statistically indistinguishable from the
+// engine must both be statistically indistinguishable from the
 // exact blue-count chain. Each engine's empirical red-win rate over
 // `trials` runs is required to sit inside the 99% CI around the exact
 // absorption probability, and the two engines inside the 99% CI of each
@@ -34,7 +34,7 @@ func TestEnginesMatchExactChain(t *testing.T) {
 			src := rng.NewFrom(101, uint64(i))
 			init := opinion.RandomConfig(n, pBlue, src)
 			p, err := dynamics.New(graph.NewKn(n), dynamics.BestOfThree, init,
-				dynamics.Options{Seed: src.Uint64(), Workers: 1, Engine: engine})
+				dynamics.Options{Seed: src.Uint64(), Engine: engine})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -197,7 +197,7 @@ func TestExactMatchesSimulation(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		src := rng.NewFrom(7, uint64(i))
 		init := opinion.RandomConfig(n, pBlue, src)
-		p, err := dynamics.New(graph.NewKn(n), dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Workers: 1, Engine: dynamics.EngineGeneral})
+		p, err := dynamics.New(graph.NewKn(n), dynamics.BestOfThree, init, dynamics.Options{Seed: src.Uint64(), Engine: dynamics.EngineGeneral})
 		if err != nil {
 			t.Fatal(err)
 		}

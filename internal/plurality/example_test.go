@@ -17,7 +17,7 @@ import (
 func Example() {
 	g := graph.NewKn(2048)
 	init := plurality.RandomBiasedConfig(2048, 5, 0.30, rng.New(1))
-	p, err := plurality.New(g, init, plurality.Options{Seed: 2, Tie: plurality.TieRandomSample, Workers: 1})
+	p, err := plurality.New(g, init, plurality.Options{Seed: 2, Tie: plurality.TieRandomSample})
 	if err != nil {
 		panic(err)
 	}

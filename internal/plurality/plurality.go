@@ -13,8 +13,6 @@ package plurality
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/opinion"
 	"repro/internal/rng"
@@ -145,28 +143,24 @@ func RandomBiasedConfig(n, q int, share0 float64, src *rng.Source) *Config {
 }
 
 // Process runs the q-opinion Best-of-Three dynamic. Like the two-party
-// engine it double-buffers the configuration and shards the vertex range
-// over deterministic per-shard RNG streams.
+// engine it double-buffers the configuration and draws every sample from
+// one RNG stream derived from the seed, so a trajectory is a function of
+// the seed alone.
 type Process struct {
-	g       Topology
-	tie     TieRule
-	cur     *Config
-	next    *Config
-	shards  []shard
-	round   int
-	workers int
-}
-
-type shard struct {
-	lo, hi int
-	src    *rng.Source
+	g     Topology
+	tie   TieRule
+	cur   *Config
+	next  *Config
+	src   *rng.Source
+	round int
 }
 
 // Options configures a Process.
 type Options struct {
-	Workers int
-	Seed    uint64
-	Tie     TieRule
+	// Seed drives all sampling; equal seeds give identical trajectories.
+	Seed uint64
+	// Tie decides the adopted opinion when the three samples differ.
+	Tie TieRule
 }
 
 // New returns a Process evolving init on g. The initial configuration is
@@ -178,32 +172,13 @@ func New(g Topology, init *Config, opt Options) (*Process, error) {
 	if g.N() > 0 && g.MinDegree() == 0 {
 		return nil, fmt.Errorf("plurality: graph %s has an isolated vertex", g.Name())
 	}
-	w := opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > g.N() {
-		w = g.N()
-	}
-	if w < 1 {
-		w = 1
-	}
-	p := &Process{
-		g:       g,
-		tie:     opt.Tie,
-		cur:     init.Clone(),
-		next:    NewConfig(g.N(), init.Q()),
-		workers: w,
-	}
-	n := g.N()
-	for i := 0; i < w; i++ {
-		p.shards = append(p.shards, shard{
-			lo:  i * n / w,
-			hi:  (i + 1) * n / w,
-			src: rng.NewFrom(opt.Seed, uint64(i)),
-		})
-	}
-	return p, nil
+	return &Process{
+		g:    g,
+		tie:  opt.Tie,
+		cur:  init.Clone(),
+		next: NewConfig(g.N(), init.Q()),
+		src:  rng.NewFrom(opt.Seed, 0),
+	}, nil
 }
 
 // Config returns the current configuration (aliased; clone to keep).
@@ -240,31 +215,11 @@ func (p *Process) Majority() opinion.Colour {
 	return opinion.Blue
 }
 
-// Step performs one synchronous round.
+// Step performs one synchronous round: every vertex samples from the
+// pre-round configuration, in vertex order from the one source.
 func (p *Process) Step() {
-	if p.g.N() == 0 {
-		p.round++
-		return
-	}
-	if p.workers == 1 {
-		p.stepRange(p.shards[0].lo, p.shards[0].hi, p.shards[0].src)
-	} else {
-		var wg sync.WaitGroup
-		for i := range p.shards {
-			wg.Add(1)
-			go func(s *shard) {
-				defer wg.Done()
-				p.stepRange(s.lo, s.hi, s.src)
-			}(&p.shards[i])
-		}
-		wg.Wait()
-	}
-	p.cur, p.next = p.next, p.cur
-	p.round++
-}
-
-func (p *Process) stepRange(lo, hi int, src *rng.Source) {
-	for v := lo; v < hi; v++ {
+	src := p.src
+	for v := range p.cur.opinions {
 		deg := p.g.Degree(v)
 		a := p.cur.opinions[p.g.Neighbor(v, src.Intn(deg))]
 		b := p.cur.opinions[p.g.Neighbor(v, src.Intn(deg))]
@@ -291,4 +246,6 @@ func (p *Process) stepRange(lo, hi int, src *rng.Source) {
 		}
 		p.next.opinions[v] = adopt
 	}
+	p.cur, p.next = p.next, p.cur
+	p.round++
 }

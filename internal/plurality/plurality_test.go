@@ -2,6 +2,8 @@ package plurality
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -241,7 +243,7 @@ func TestDeterminism(t *testing.T) {
 	g := graph.RandomRegular(256, 8, rng.New(8))
 	init := RandomBiasedConfig(256, 5, 0.3, rng.New(9))
 	run := func() []int {
-		p, err := New(g, init, Options{Seed: 10, Workers: 3})
+		p, err := New(g, init, Options{Seed: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,6 +254,38 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverged: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestTrajectoryIndependentOfGOMAXPROCS: every draw comes from one source
+// derived from the seed, so the configuration after every round is the
+// same under GOMAXPROCS 1 and 4, for both tie rules.
+func TestTrajectoryIndependentOfGOMAXPROCS(t *testing.T) {
+	const n, rounds = 640, 20
+	g := graph.RandomRegular(n, 12, rng.New(1))
+	init := RandomBiasedConfig(n, 3, 0.4, rng.New(2))
+	trajectory := func(tie TieRule, procs int) []*Config {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, err := New(g, init, Options{Seed: 9, Tie: tie})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*Config
+		for r := 0; r < rounds; r++ {
+			p.Step()
+			out = append(out, p.Config().Clone())
+		}
+		return out
+	}
+	for _, tie := range []TieRule{TieKeep, TieRandomSample} {
+		one, four := trajectory(tie, 1), trajectory(tie, 4)
+		for r := range one {
+			if !slices.Equal(one[r].opinions, four[r].opinions) {
+				t.Errorf("tie rule %d: GOMAXPROCS 1 and 4 diverge at round %d (counts %v vs %v)",
+					tie, r+1, one[r].Counts(), four[r].Counts())
+				break
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (s *Source) Uint64() uint64 {
 // Fill overwrites dst with len(dst) successive Uint64 outputs, exactly as
 // if Uint64 had been called once per element. Keeping the state in locals
 // for the whole block lets the compiler keep it in registers, which is the
-// refill path of the dynamics engine's per-shard sample buffer.
+// refill path of the dynamics engine's sample buffer.
 func (s *Source) Fill(dst []uint64) {
 	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
 	for i := range dst {

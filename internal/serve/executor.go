@@ -16,11 +16,9 @@ import (
 // recorded blue count (the manager installs the event bus's decimated
 // trajectory publisher here); observation never changes outcomes either.
 func executeSpec(ctx context.Context, runSpec RunRequest, g core.Topology, workers int, obs repro.RoundObserver) (*RunResult, error) {
-	// The Runner's canonical engine configuration (one engine worker per
-	// trial) is deliberately left in place: it is what makes outcomes
-	// byte-identical to the same spec run through the library or bo3sim,
-	// at the cost of in-engine parallelism for single-trial jobs
-	// (trial-level parallelism is unaffected).
+	// Each trial runs a sequential engine on one RNG stream, which is what
+	// makes outcomes byte-identical to the same spec run through the
+	// library or bo3sim; a job's only parallelism is across its trials.
 	opts := []repro.RunnerOption{}
 	if g != nil {
 		opts = append(opts, repro.WithTopology(g))
@@ -112,10 +110,10 @@ func executeSpec(ctx context.Context, runSpec RunRequest, g core.Topology, worke
 }
 
 // Execute runs a spec exactly as a bo3serve worker would — same Runner,
-// same ChildSeed tree, same canonical engine configuration — and returns
-// the deterministic result projection. It is the re-execution path behind
-// `bo3store verify`: marshalling the returned result reproduces a stored
-// record's body byte-for-byte. The spec must carry an explicit seed
+// same ChildSeed tree, same engines — and returns the deterministic
+// result projection. It is the re-execution path behind `bo3store
+// verify`: marshalling the returned result reproduces a stored record's
+// body byte-for-byte. The spec must carry an explicit seed
 // (stored canonical specs always do).
 func Execute(ctx context.Context, req RunRequest) (*RunResult, error) {
 	req.Normalize()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -462,6 +463,55 @@ func TestVerifyEveryStoredRecord(t *testing.T) {
 		}
 		if !bytes.Equal(fresh, rec.Body) {
 			t.Errorf("record %s does not verify:\nstored %s\nfresh  %s", info.Key, rec.Body, fresh)
+		}
+	}
+}
+
+// TestVerifyCommittedStoreSegment re-executes every result record of a
+// committed store segment written by an earlier bo3serve build and
+// byte-compares each fresh result with the stored body. Its records cover
+// every variant, per-sample noise, an even k with the random tie,
+// sampling without replacement and both engines. TestVerifyEveryStoredRecord
+// only replays records the same binary just wrote; this test holds the
+// store invariant against bytes an older engine wrote, so an engine change
+// that moves a single RNG draw fails here.
+func TestVerifyCommittedStoreSegment(t *testing.T) {
+	st, err := store.Open(filepath.Join("testdata", "parentstore"), store.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	infos := st.Results()
+	if len(infos) != 13 {
+		t.Fatalf("fixture holds %d result records, want 13", len(infos))
+	}
+	seen := map[string]bool{}
+	for _, info := range infos {
+		rec, ok, err := st.GetResult(info.Key)
+		if !ok || err != nil {
+			t.Fatalf("get %s: ok=%v err=%v", info.Key, ok, err)
+		}
+		var rs spec.RunSpec
+		if err := json.Unmarshal(rec.Spec, &rs); err != nil {
+			t.Fatalf("stored spec: %v", err)
+		}
+		res, err := Execute(context.Background(), rs)
+		if err != nil {
+			t.Fatalf("re-execute %s: %v", rec.Spec, err)
+		}
+		fresh, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh, rec.Body) {
+			t.Errorf("record %s does not verify:\nstored %s\nfresh  %s", rec.Spec, rec.Body, fresh)
+		}
+		seen[res.Engine] = true
+		seen[rs.VariantName()] = true
+	}
+	for _, want := range []string{"general", "mean-field", "sync", "async", "stubborn", "plurality"} {
+		if !seen[want] {
+			t.Errorf("fixture covers no %s record", want)
 		}
 	}
 }

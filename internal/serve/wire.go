@@ -72,7 +72,7 @@ type RunResult struct {
 	Rule string `json:"rule"`
 	// Engine is the resolved round engine the trials executed on:
 	// "mean-field" (the O(1)-per-round complete-graph fast path) or
-	// "general" (per-vertex sharded sampling). Requests opt out of the
+	// "general" (per-vertex sampling). Requests opt out of the
 	// fast path with `"engine": "general"` on the RunRequest.
 	Engine string `json:"engine"`
 	// Variant is the resolved opinion dynamic the trials executed

@@ -1,14 +1,16 @@
-// Package sim holds the small trial-level helpers shared across layers:
-// RunOutcomes fans independent trials of a hand-built simulation out over
-// a worker pool with one deterministic RNG stream per trial (the
-// experiments that need a non-i.i.d. start or graphs outside the spec
-// registry use it), and Tally folds per-trial results into the
-// order-independent aggregates the serve layer reports. Spec-described
-// runs go through the root package's Runner instead, whose Stream is
-// what cancels in-flight trials at the next round boundary.
+// Package sim holds the small trial-level helpers shared across layers.
+// Trials are the repository's only unit of parallelism, and Each is the
+// one pool that runs them: the root package's Runner.Stream runs every
+// spec-described trial through it (and cancels in-flight trials at their
+// next round boundary), and RunOutcomes runs independent trials of a
+// hand-built simulation through it with one deterministic RNG stream per
+// trial (the experiments that need a non-i.i.d. start or graphs outside
+// the spec registry use it). Tally folds per-trial results into the
+// order-independent aggregates the serve layer reports.
 package sim
 
 import (
+	"context"
 	"runtime"
 	"sync"
 
@@ -25,29 +27,26 @@ type Outcome struct {
 	Win bool
 }
 
-// RunOutcomes executes n independent trials, parallelised over workers
-// goroutines (0 = GOMAXPROCS), and returns the n outcomes in trial order.
-// Trial i always receives the stream derived from (seed, i), so results
-// are independent of scheduling and worker count.
-func RunOutcomes(n int, seed uint64, workers int, trial func(i int, src *rng.Source) Outcome) []Outcome {
-	if n <= 0 {
-		return nil
-	}
+// Each runs fn(i) for the indices [0, n) on workers goroutines (0 =
+// GOMAXPROCS, at most n), each claiming the next unclaimed index until
+// none is left, and returns once every call has returned. Every index
+// runs exactly once unless ctx is cancelled: a worker checks ctx before
+// each claim, so after cancellation no further index is claimed, while
+// calls already running finish. fn must be safe for concurrent use.
+func Each(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]Outcome, n)
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		next int
+	)
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				mu.Lock()
 				i := next
 				next++
@@ -55,11 +54,25 @@ func RunOutcomes(n int, seed uint64, workers int, trial func(i int, src *rng.Sou
 				if i >= n {
 					return
 				}
-				out[i] = trial(i, rng.NewFrom(seed, uint64(i)))
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// RunOutcomes executes n independent trials through Each on workers
+// goroutines (0 = GOMAXPROCS) and returns the n outcomes in trial order.
+// Trial i always receives the stream derived from (seed, i), so results
+// are independent of scheduling and worker count.
+func RunOutcomes(n int, seed uint64, workers int, trial func(i int, src *rng.Source) Outcome) []Outcome {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]Outcome, n)
+	Each(context.Background(), n, workers, func(i int) {
+		out[i] = trial(i, rng.NewFrom(seed, uint64(i)))
+	})
 	return out
 }
 

@@ -1,10 +1,73 @@
 package sim
 
 import (
+	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rng"
 )
+
+// TestEachRunsEveryIndexOnce: with a live context every index in [0, n)
+// runs exactly once, whether the pool has one worker, a few, or more
+// workers than indices.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{1, 3, n + 5} {
+		var runs [n]atomic.Int32
+		Each(context.Background(), n, workers, func(i int) { runs[i].Add(1) })
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Errorf("workers=%d: index %d ran %d times", workers, i, got)
+			}
+		}
+	}
+	Each(context.Background(), 0, 3, func(int) { t.Error("n = 0 ran an index") })
+}
+
+// TestEachClaimsNothingAfterCancel: the first call of each worker meets
+// the others at a barrier, so the first `workers` indices are in flight
+// together; index 0 then cancels the context, and no worker may claim
+// another index once its call returns. A context cancelled before Each
+// runs no index at all.
+func TestEachClaimsNothingAfterCancel(t *testing.T) {
+	const n = 100
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var (
+			started   sync.WaitGroup
+			cancelled = make(chan struct{})
+			mu        sync.Mutex
+			ran       []int
+		)
+		started.Add(workers)
+		Each(ctx, n, workers, func(i int) {
+			mu.Lock()
+			ran = append(ran, i)
+			mu.Unlock()
+			if i >= workers {
+				return
+			}
+			started.Done()
+			started.Wait()
+			if i == 0 {
+				cancel()
+				close(cancelled)
+			}
+			<-cancelled
+		})
+		if len(ran) != workers {
+			t.Errorf("workers=%d: ran indices %v, want exactly the first %d", workers, ran, workers)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 3, n + 5} {
+		Each(ctx, n, workers, func(i int) { t.Errorf("workers=%d: index %d ran after cancel", workers, i) })
+	}
+}
 
 func TestRunTrialsOrderAndCount(t *testing.T) {
 	out := RunOutcomes(100, 7, 4, func(i int, src *rng.Source) Outcome {

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -134,7 +133,7 @@ func (r *Runner) EngineName() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return core.EngineFor(g, r.rule, r.engine), nil
+	return core.EngineFor(g, r.engine), nil
 }
 
 // VariantName reports the resolved dynamic the runner's trials execute
@@ -167,53 +166,23 @@ func (r *Runner) Stream(ctx context.Context) (<-chan TrialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := r.spec.Trials
-	workers := r.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	out := make(chan TrialResult)
 	go func() {
 		defer close(out)
-		var (
-			wg   sync.WaitGroup
-			mu   sync.Mutex
-			next int
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					mu.Lock()
-					i := next
-					next++
-					mu.Unlock()
-					if i >= n {
-						return
-					}
-					// The send is deliberately unconditional: a claimed
-					// trial's result is never dropped, even when ctx is
-					// cancelled mid-delivery — racing the send against
-					// ctx.Done() would silently lose completed trials from
-					// a consumer that is still draining.
-					out <- r.runTrial(ctx, g, i)
-				}
-			}()
-		}
-		wg.Wait()
+		sim.Each(ctx, r.spec.Trials, r.cfg.workers, func(i int) {
+			// The send is deliberately unconditional: a claimed trial's
+			// result is never dropped, even when ctx is cancelled
+			// mid-delivery — racing the send against ctx.Done() would
+			// silently lose completed trials from a consumer that is still
+			// draining.
+			out <- r.runTrial(ctx, g, i)
+		})
 	}()
 	return out, nil
 }
 
-// runTrial executes one trial with its derived seed. The engine always
-// runs one worker per trial, which makes every trial's trajectory a
+// runTrial executes one trial with its derived seed. Each trial runs its
+// engine on one goroutine from one RNG stream, so its trajectory is a
 // function of the spec alone — the property the CLI/server equivalence
 // guarantees rest on; parallelism comes from running trials concurrently.
 func (r *Runner) runTrial(ctx context.Context, g Topology, i int) TrialResult {
@@ -221,7 +190,6 @@ func (r *Runner) runTrial(ctx context.Context, g Topology, i int) TrialResult {
 	opt := core.Options{
 		Seed:      seed,
 		MaxRounds: r.spec.MaxRounds,
-		Workers:   1,
 		Rule:      r.rule,
 		Engine:    r.engine,
 		Variant:   r.spec.CoreVariant(),

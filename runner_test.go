@@ -202,6 +202,24 @@ func TestRunnerEngineName(t *testing.T) {
 	if name, err := gen.EngineName(); err != nil || name != "general" {
 		t.Errorf("random-regular EngineName = %q, %v", name, err)
 	}
+
+	// Non-sync variants run per-vertex sampling, so they resolve to the
+	// general engine even on the mean-field-eligible complete-virtual.
+	for _, v := range []repro.VariantSpec{
+		{Name: "async"},
+		{Name: "stubborn", StubbornFrac: 0.1},
+		{Name: "plurality", Q: 3},
+	} {
+		r, err := repro.NewRunner(repro.RunSpec{
+			Graph: repro.GraphSpec{Family: "complete-virtual", N: 128}, Delta: 0.1, Variant: &v,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name, err := r.EngineName(); err != nil || name != "general" {
+			t.Errorf("%s on complete-virtual EngineName = %q, %v", v.Name, name, err)
+		}
+	}
 }
 
 // TestRunnerEngineABEquivalence is the A/B-validation knob end to end:

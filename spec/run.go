@@ -32,14 +32,13 @@ type RunSpec struct {
 	Rule *RuleSpec `json:"rule,omitempty"`
 	// Engine selects the round engine: "" or "auto" (default) takes the
 	// O(1)-per-round mean-field fast path on families that declare
-	// mean-field eligibility (complete-virtual) and the general sharded
+	// mean-field eligibility (complete-virtual) and the general per-vertex
 	// engine otherwise; "general" forces the general engine (the opt-out
 	// knob for A/B validation of the fast path); "mean-field" requires the
 	// fast path and is rejected for ineligible families. The two engines
 	// draw from different RNG streams, so they are distributionally — not
-	// byte — equivalent; within one engine (and the canonical one-worker
-	// engine configuration every entry point defaults to), outcomes remain
-	// a deterministic function of the spec.
+	// byte — equivalent; within one engine, outcomes remain a
+	// deterministic function of the spec.
 	Engine string `json:"engine,omitempty"`
 	// Variant selects the opinion dynamic: nil (or name "sync") is the
 	// paper's synchronous dynamic; "async", "stubborn", and "plurality"
