@@ -12,13 +12,13 @@
 #      subcommands cmd/bo3store registers (bo3store -list),
 #   5. the docs/API.md bo3graph subcommand table must list exactly the
 #      subcommands cmd/bo3graph registers (bo3graph -list), and
-#   6. every json field of the serve Stats struct (the GET /v1/stats
-#      payload) must appear backticked somewhere in docs/API.md, so new
-#      counters cannot ship undocumented, and
-#   7. every metric family the service registers (go run
-#      ./internal/tools/registry metrics) must appear backticked in the
-#      docs/API.md metrics reference table, so /metrics cannot grow
-#      undocumented series, and
+#   6. the first-column names of the docs/API.md GET /v1/stats table must
+#      be exactly the json fields of the serve Stats struct (the payload),
+#      so new counters cannot ship undocumented and deleted ones cannot
+#      linger in the docs,
+#   7. the docs/API.md metrics reference table must list exactly the
+#      metric families the service registers (go run
+#      ./internal/tools/registry metrics), both ways likewise, and
 #   8. the DESIGN.md "Registry entries as sweep grids" table must give
 #      every sweepable experiment row exactly the grid and round cap the
 #      registry publishes (go run ./internal/tools/registry grids), with
@@ -174,45 +174,65 @@ elif [ "$doc_gsubs" != "$reg_gsubs" ]; then
     status=1
 fi
 
-# --- 6. Stats fields vs docs/API.md ------------------------------------
-# Every json tag of the Stats struct must appear backticked in the docs
-# (the stats table, or prose for nested/derived mentions).
+# --- 6. Stats fields vs the GET /v1/stats table ------------------------
+# Documented fields: every backticked name in the first cell of each row
+# of the table in the "## GET /v1/stats" section (a row may name several).
 stats_fields=$(awk '
     /^type Stats struct \{/ { in_struct = 1; next }
     in_struct && /^\}/ { exit }
     in_struct && match($0, /json:"[a-z_]+/) { print substr($0, RSTART + 6, RLENGTH - 6) }
-' internal/serve/wire.go)
-if [ -z "$stats_fields" ]; then
-    echo "check-api-docs: no json tags found on serve.Stats (pattern drift?)" >&2
+' internal/serve/wire.go | sort)
+doc_stats=$(awk '
+    /^## GET \/v1\/stats$/ { in_section = 1; next }
+    in_section && /^## / { exit }
+    in_section && /^\| `/ {
+        in_table = 1
+        split($0, cells, "|")
+        first = cells[2]
+        while (match(first, /`[a-z_]+`/)) {
+            print substr(first, RSTART + 1, RLENGTH - 2)
+            first = substr(first, RSTART + RLENGTH)
+        }
+        next
+    }
+    in_table && !/^\|/ { exit }
+' docs/API.md | sort)
+if [ -z "$stats_fields" ] || [ -z "$doc_stats" ]; then
+    echo "check-api-docs: no serve.Stats json tags or no GET /v1/stats table rows found (pattern drift?)" >&2
+    status=1
+elif [ "$doc_stats" != "$stats_fields" ]; then
+    echo "check-api-docs: docs/API.md GET /v1/stats table disagrees with the serve.Stats json fields:" >&2
+    echo "--- serve.Stats (internal/serve/wire.go)" >&2
+    echo "$stats_fields" >&2
+    echo "--- docs/API.md table" >&2
+    echo "$doc_stats" >&2
     status=1
 fi
-while IFS= read -r field; do
-    [ -n "$field" ] || continue
-    if ! grep -qF "\`$field\`" docs/API.md; then
-        echo "check-api-docs: serve.Stats field \"$field\" is not documented (backticked) in docs/API.md" >&2
-        status=1
-    fi
-done <<EOF
-$stats_fields
-EOF
 
-# --- 7. Metric families vs docs/API.md ---------------------------------
-# Every metric family the full service registers must appear backticked
-# in the docs/API.md metrics reference table.
-metric_names=$(go run ./internal/tools/registry metrics)
-if [ -z "$metric_names" ]; then
-    echo "check-api-docs: no metric names from internal/tools/registry metrics (pattern drift?)" >&2
+# --- 7. Metric families vs the docs/API.md metrics table ---------------
+# Documented metrics: the first backticked cell of each row of the table
+# headed "| Metric | Type | Labels | Meaning |".
+doc_metrics=$(awk '
+    /^\| Metric \| Type \| Labels \| Meaning \|$/ { in_table = 1; next }
+    in_table && /^\|-/ { next }
+    in_table && /^\| `/ {
+        if (match($0, /`[a-z0-9_]+`/)) print substr($0, RSTART + 1, RLENGTH - 2)
+        next
+    }
+    in_table { exit }
+' docs/API.md | sort)
+reg_metrics=$(go run ./internal/tools/registry metrics | sort)
+if [ -z "$doc_metrics" ] || [ -z "$reg_metrics" ]; then
+    echo "check-api-docs: no metrics table rows or no registered metric names found (pattern drift?)" >&2
+    status=1
+elif [ "$doc_metrics" != "$reg_metrics" ]; then
+    echo "check-api-docs: docs/API.md metrics table disagrees with the registered metric families:" >&2
+    echo "--- registry (go run ./internal/tools/registry metrics)" >&2
+    echo "$reg_metrics" >&2
+    echo "--- docs/API.md table" >&2
+    echo "$doc_metrics" >&2
     status=1
 fi
-while IFS= read -r metric; do
-    [ -n "$metric" ] || continue
-    if ! grep -qF "\`$metric\`" docs/API.md; then
-        echo "check-api-docs: metric \"$metric\" is registered but not documented (backticked) in docs/API.md" >&2
-        status=1
-    fi
-done <<EOF
-$metric_names
-EOF
 
 # --- 8. Sweep-grid table vs the experiment registry --------------------
 # Documented grids: in the table headed "| ID | Sweep grid ...", each row

@@ -127,6 +127,9 @@ func main() {
 	if *workerID != "" && *storeDir == "" {
 		fatal("-worker-id requires -store-dir: fleet coordination lives in the shared store")
 	}
+	if err := serve.ValidateWorkerID(*workerID); err != nil {
+		fatal("invalid -worker-id", "err", err)
+	}
 
 	reg := metrics.NewRegistry()
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -86,7 +87,7 @@ type RoundFrame struct {
 // drain and see EOF, and late joiners still get the retained history until
 // retention prunes the job.
 func (m *Manager) publishJobState(j *job) {
-	ev := RunStateEvent{Job: j.id, State: j.state, Sweep: j.sweep}
+	ev := RunStateEvent{Job: j.id, State: j.state, Sweep: j.sweepID()}
 	if j.err != nil {
 		ev.Error = j.err.Error()
 	}
@@ -120,8 +121,8 @@ func (m *Manager) trajectoryObserver(j *job, g core.Topology, runSpec RunRequest
 	}
 	topic := runTopic(j.id)
 	sweepTp := ""
-	if j.sweep != "" {
-		sweepTp = sweepTopic(j.sweep)
+	if j.owner != nil {
+		sweepTp = sweepTopic(j.owner.id)
 	}
 	return func(trial, round, blues int) {
 		if !dec.Keep(round) {
@@ -230,7 +231,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("serve: no such run"))
 		return
 	}
-	s.streamEvents(w, r, snap, sub)
+	s.streamEvents(w, r, snap, sub, eventLines(r))
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
@@ -239,7 +240,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("serve: no such sweep"))
 		return
 	}
-	s.streamEvents(w, r, snap, sub)
+	s.streamEvents(w, r, snap, sub, eventLines(r))
 }
 
 func (s *Server) handleMetricsEvents(w http.ResponseWriter, r *http.Request) {
@@ -250,22 +251,80 @@ func (s *Server) handleMetricsEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("serve: metrics stream unavailable"))
 		return
 	}
-	s.streamEvents(w, r, snap, sub)
+	s.streamEvents(w, r, snap, sub, eventLines(r))
+}
+
+// lineFormat is one stream route's wire encoding. write renders one bus
+// event (possibly as nothing) and reports whether it was the stream's last
+// line; heartbeat, when set, is written after each idle Heartbeat
+// interval.
+type lineFormat struct {
+	contentType string
+	write       func(w io.Writer, ev bus.Event) (last bool, err error)
+	heartbeat   func(w io.Writer) error
+}
+
+// eventLines is the /events encoding: SSE frames when the client
+// negotiated text/event-stream, one bus.Event per NDJSON line otherwise,
+// with idle heartbeats either way.
+func eventLines(r *http.Request) lineFormat {
+	if wantsSSE(r) {
+		return lineFormat{
+			contentType: "text/event-stream",
+			write: func(w io.Writer, ev bus.Event) (bool, error) {
+				body, err := json.Marshal(ev)
+				if err == nil {
+					_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, body)
+				}
+				return false, err
+			},
+			heartbeat: func(w io.Writer) error {
+				_, err := fmt.Fprint(w, ": heartbeat\n\n")
+				return err
+			},
+		}
+	}
+	return lineFormat{
+		contentType: "application/x-ndjson",
+		write: func(w io.Writer, ev bus.Event) (bool, error) {
+			return false, json.NewEncoder(w).Encode(ev)
+		},
+		heartbeat: func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "{\"type\":%q}\n", EventHeartbeat)
+			return err
+		},
+	}
+}
+
+// sweepResultLines is the GET /v1/sweeps/{id}/results encoding: one
+// SweepEvent per NDJSON line, no heartbeats, and the sweep summary as the
+// last line.
+var sweepResultLines = lineFormat{
+	contentType: "application/x-ndjson",
+	write: func(w io.Writer, ev bus.Event) (bool, error) {
+		var line SweepEvent
+		switch data := ev.Data.(type) {
+		case *SweepCellView:
+			line.Cell = data
+		case *SweepView:
+			line.Sweep = data
+		default:
+			return false, nil
+		}
+		return line.Sweep != nil, json.NewEncoder(w).Encode(line)
+	},
 }
 
 // streamEvents writes the snapshot, then tails the subscription until the
-// topic closes (clean EOF), the client disconnects, or a write fails. The
-// consumer loop never blocks the bus: a stalled client wedges here, in its
-// own handler goroutine, while the ring drops oldest-first and the next
-// delivered frame carries the count.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, snapshot []bus.Event, sub *bus.Subscription) {
+// topic closes (clean EOF), the format reports its last line, the client
+// disconnects, or a write fails. The consumer loop never blocks the bus: a
+// stalled client wedges here, in its own handler goroutine, while the ring
+// drops oldest-first and the next delivered frame carries the count.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, snapshot []bus.Event, sub *bus.Subscription, lines lineFormat) {
 	defer sub.Cancel()
-	sse := wantsSSE(r)
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Content-Type", lines.contentType)
+	if lines.contentType == "text/event-stream" {
 		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, canFlush := w.(http.Flusher)
@@ -274,60 +333,31 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, snapshot [
 			flusher.Flush()
 		}
 	}
-	write := func(ev bus.Event) bool {
-		body, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if sse {
-			_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, body)
-		} else {
-			_, err = fmt.Fprintf(w, "%s\n", body)
-		}
-		return err == nil
-	}
-	heartbeat := func() bool {
-		var err error
-		if sse {
-			_, err = fmt.Fprint(w, ": heartbeat\n\n")
-		} else {
-			_, err = fmt.Fprintf(w, "{\"type\":%q}\n", EventHeartbeat)
-		}
-		return err == nil
-	}
 	for _, ev := range snapshot {
-		if !write(ev) {
+		if last, err := lines.write(w, ev); last || err != nil {
 			return
 		}
 	}
-	timer := time.NewTimer(s.mgr.cfg.Heartbeat)
-	defer timer.Stop()
 	for {
-		for {
-			ev, ok := sub.Next()
-			if !ok {
-				break
-			}
-			if !write(ev) {
+		for ev, ok := sub.Next(); ok; ev, ok = sub.Next() {
+			if last, err := lines.write(w, ev); last || err != nil {
 				return
 			}
 		}
+		flush()
 		if sub.Done() {
-			flush()
 			return
 		}
-		flush()
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
+		// A nil channel never fires: a format without heartbeats only
+		// wakes for events or disconnects.
+		var idle <-chan time.Time
+		if lines.heartbeat != nil {
+			idle = time.After(s.mgr.cfg.Heartbeat)
 		}
-		timer.Reset(s.mgr.cfg.Heartbeat)
 		select {
 		case <-sub.Ready():
-		case <-timer.C:
-			if !heartbeat() {
+		case <-idle:
+			if lines.heartbeat(w) != nil {
 				return
 			}
 			flush()

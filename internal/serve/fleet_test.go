@@ -14,8 +14,8 @@ import (
 // The fleet tests run several Managers over one shared store directory —
 // the in-process equivalent of N bo3serve processes with -worker-id —
 // and pin the coordination contract: exactly-once cell execution under
-// contention, lease takeover after a kill, and journal-level dedupe of
-// repeated grids.
+// contention, lease takeover after a kill, and repeated grids answered
+// from the result store.
 
 func openShared(t *testing.T, dir string) *store.Store {
 	t.Helper()
@@ -207,12 +207,12 @@ func TestFleetLeaseTakeoverAfterKill(t *testing.T) {
 	}
 }
 
-// TestRepeatedSweepDeduped: resubmitting a completed grid (same seed and
-// round cap) is answered entirely from the journal — the view is marked
-// deduped, every cell is cached, and nothing executes. The memory
-// survives a restart through the high-water-mark record, which also
-// collapses the terminal journal records it subsumes.
-func TestRepeatedSweepDeduped(t *testing.T) {
+// TestRepeatedSweepServedFromStore: resubmitting a completed grid (same
+// seed and round cap) is answered cell by cell from the result store —
+// every cell is cached and nothing executes — before and after a restart.
+// The restart also collapses the terminal journal records into the
+// high-water-mark record.
+func TestRepeatedSweepServedFromStore(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	m := NewManager(Config{Workers: 2, TrialParallelism: 1, Store: st})
@@ -232,12 +232,9 @@ func TestRepeatedSweepDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Deduped {
-		t.Error("repeated submission not marked deduped at admission")
-	}
 	secondFinal := waitSweepDone(t, m, second.ID)
-	if secondFinal.State != StateDone || !secondFinal.Deduped {
-		t.Fatalf("deduped sweep: state %s, deduped %v", secondFinal.State, secondFinal.Deduped)
+	if secondFinal.State != StateDone {
+		t.Fatalf("repeated sweep: state %s", secondFinal.State)
 	}
 	if secondFinal.CellsCached != cells {
 		t.Errorf("cells_cached = %d, want every one of %d", secondFinal.CellsCached, cells)
@@ -248,14 +245,11 @@ func TestRepeatedSweepDeduped(t *testing.T) {
 	aggFirst, _ := json.Marshal(firstFinal.Aggregate)
 	aggSecond, _ := json.Marshal(secondFinal.Aggregate)
 	if !bytes.Equal(aggFirst, aggSecond) {
-		t.Errorf("deduped aggregate differs:\n got %s\nwant %s", aggSecond, aggFirst)
+		t.Errorf("repeated aggregate differs:\n got %s\nwant %s", aggSecond, aggFirst)
 	}
 	after := m.Stats()
 	if after.TrialsRun != base.TrialsRun || after.RoundsRun != base.RoundsRun {
-		t.Errorf("deduped sweep executed trials: %d -> %d", base.TrialsRun, after.TrialsRun)
-	}
-	if after.SweepsDeduped != 1 {
-		t.Errorf("sweeps_deduped = %d, want 1", after.SweepsDeduped)
+		t.Errorf("repeated sweep executed trials: %d -> %d", base.TrialsRun, after.TrialsRun)
 	}
 	if after.JobsCached != base.JobsCached+int64(cells) {
 		t.Errorf("jobs_cached = %d, want %d", after.JobsCached, base.JobsCached+int64(cells))
@@ -268,7 +262,7 @@ func TestRepeatedSweepDeduped(t *testing.T) {
 
 	// Generation 2: ResumeSweeps folds both terminal records into the
 	// high-water mark — the journal scan stays O(active sweeps) — and the
-	// dedupe memory rides along, so the resubmission is deduped again.
+	// resubmission is again answered from the store.
 	st2 := openStore(t, dir)
 	defer st2.Close()
 	m2 := NewManager(Config{Workers: 2, TrialParallelism: 1, Store: st2})
@@ -291,21 +285,88 @@ func TestRepeatedSweepDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !third.Deduped {
-		t.Error("dedupe memory did not survive the restart")
-	}
 	if third.ID == first.ID || third.ID == second.ID {
 		t.Errorf("sweep ID %s reused a collapsed record's", third.ID)
 	}
 	thirdFinal := waitSweepDone(t, m2, third.ID)
 	if thirdFinal.CellsCached != cells {
-		t.Errorf("restarted dedupe: cells_cached = %d, want %d", thirdFinal.CellsCached, cells)
+		t.Errorf("after restart: cells_cached = %d, want %d", thirdFinal.CellsCached, cells)
 	}
 	aggThird, _ := json.Marshal(thirdFinal.Aggregate)
 	if !bytes.Equal(aggFirst, aggThird) {
 		t.Errorf("post-restart aggregate differs:\n got %s\nwant %s", aggThird, aggFirst)
 	}
 	if got := m2.Stats().TrialsRun; got != 0 {
-		t.Errorf("post-restart deduped sweep executed %d trials", got)
+		t.Errorf("post-restart repeated sweep executed %d trials", got)
 	}
+}
+
+func TestValidateWorkerID(t *testing.T) {
+	for _, c := range []struct {
+		id string
+		ok bool
+	}{
+		{"", true},
+		{"a", true},
+		{"worker-07", true},
+		{"Rack.2_b", true},
+		{"w%1", false},
+		{"a/b", false},
+		{"a b", false},
+		{"w:1", false},
+		{"wé", false},
+	} {
+		if err := ValidateWorkerID(c.id); (err == nil) != c.ok {
+			t.Errorf("ValidateWorkerID(%q) = %v, want ok %v", c.id, err, c.ok)
+		}
+	}
+}
+
+// TestRestartReservesOwnSweepIDs: a fleet worker restarted over its own
+// store parses its journaled sweep IDs as a literal prefix plus digits —
+// never as a format string built from its ID — so it collapses its
+// terminal records and mints past them whatever its ID holds. (bo3serve
+// refuses such an ID; the Manager API takes any.)
+func TestRestartReservesOwnSweepIDs(t *testing.T) {
+	dir := t.TempDir()
+	small := SweepRequest{Grid: SweepGrid{Graphs: []GraphSpec{{Family: "complete-virtual", N: 64}}, Deltas: []float64{0.2}}, Seed: 3}
+	st := openShared(t, dir)
+	m := NewManager(fleetConfig(st, "w%1"))
+	first, err := m.SubmitSweep(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ID != "sweep-w%1-000000" {
+		t.Fatalf("first sweep ID %q", first.ID)
+	}
+	waitSweepDone(t, m, first.ID)
+	m.Close(context.Background())
+	st.Close()
+
+	st2 := openShared(t, dir)
+	defer st2.Close()
+	m2 := NewManager(fleetConfig(st2, "w%1"))
+	defer m2.Close(context.Background())
+	if n, err := m2.ResumeSweeps(); n != 0 || err != nil {
+		t.Fatalf("resumed %d (err %v), want a settled journal", n, err)
+	}
+	infos, err := st2.Sweeps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].ID != "hwm-w%1" {
+		ids := make([]string, len(infos))
+		for i, info := range infos {
+			ids[i] = info.ID
+		}
+		t.Errorf("journal after collapse holds %v, want only hwm-w%%1", ids)
+	}
+	second, err := m2.SubmitSweep(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ID != "sweep-w%1-000001" {
+		t.Errorf("sweep ID after restart = %q, want sweep-w%%1-000001", second.ID)
+	}
+	waitSweepDone(t, m2, second.ID)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +54,19 @@ func DefaultLimits() Limits {
 	}
 }
 
+// withDefaults gives every zero field its DefaultLimits value, so a
+// partial Limits overrides only the ceilings it names.
+func (l Limits) withDefaults() Limits {
+	d := DefaultLimits()
+	return Limits{
+		MaxN:          cmp.Or(l.MaxN, d.MaxN),
+		MaxEdges:      cmp.Or(l.MaxEdges, d.MaxEdges),
+		MaxTrials:     cmp.Or(l.MaxTrials, d.MaxTrials),
+		MaxRounds:     cmp.Or(l.MaxRounds, d.MaxRounds),
+		MaxSweepCells: cmp.Or(l.MaxSweepCells, d.MaxSweepCells),
+	}
+}
+
 // Config configures a Manager.
 type Config struct {
 	// Workers is the number of jobs executed concurrently (0 =
@@ -80,7 +94,8 @@ type Config struct {
 	// runs (0 = Workers). A sweep request may lower it per sweep, never
 	// raise it.
 	SweepConcurrency int
-	// Limits defaults to DefaultLimits when zero.
+	// Limits caps what one request may ask; each zero field takes its
+	// DefaultLimits value.
 	Limits Limits
 	// Artifacts is the disk-backed graph artifact directory (nil =
 	// disabled; bo3serve opens it from -artifact-dir). With a directory
@@ -103,7 +118,7 @@ type Config struct {
 	// protocol — no two workers execute the same cell concurrently — and
 	// sweep IDs are namespaced "sweep-<id>-NNNNNN" so fleets never collide
 	// in the shared journal. Empty disables claims (the single-process
-	// default).
+	// default). bo3serve admits only IDs ValidateWorkerID accepts.
 	WorkerID string
 	// LeaseTTL is how long a cell claim lives without renewal (0 = 1
 	// minute). A worker that dies mid-cell blocks that cell for at most
@@ -170,7 +185,6 @@ type job struct {
 	// claimFence) if execution fails without a result.
 	claimed    bool
 	claimFence uint64
-	sweep      string // owning sweep ID, "" for standalone runs
 	state      string
 	err        error
 	result     *RunResult
@@ -184,7 +198,19 @@ type job struct {
 	engineDur  time.Duration
 	persistDur time.Duration
 	cancel     context.CancelFunc // set while running
-	done       chan struct{}      // closed exactly once, at the terminal transition
+	// owner is the sweep whose cell this job runs (nil for standalone
+	// runs) and cell that cell's index; the job's terminal transition
+	// finishes the cell.
+	owner *sweep
+	cell  int
+}
+
+// sweepID names the owning sweep, "" for standalone runs.
+func (j *job) sweepID() string {
+	if j.owner == nil {
+		return ""
+	}
+	return j.owner.id
 }
 
 // Manager owns the job table, the bounded worker pool, and the graph pool.
@@ -214,11 +240,6 @@ type Manager struct {
 	sweeps     map[string]*sweep
 	sweepOrder []string
 	sweepSeq   uint64
-	// doneSweepKeys maps completed sweeps' grid content keys to their
-	// IDs — the dedupe memory behind repeated POST /v1/sweeps. Populated
-	// at each terminal transition and, across restarts, from the journal's
-	// high-water-mark record.
-	doneSweepKeys map[string]string
 
 	// Instantaneous pool state; guarded by mu, exported as gauge funcs.
 	// The lifecycle counters the old int64 fields held live in m.mx now —
@@ -245,12 +266,7 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 1024
 	}
-	if cfg.Limits == (Limits{}) {
-		cfg.Limits = DefaultLimits()
-	}
-	if cfg.Limits.MaxSweepCells <= 0 {
-		cfg.Limits.MaxSweepCells = DefaultLimits().MaxSweepCells
-	}
+	cfg.Limits = cfg.Limits.withDefaults()
 	if cfg.SweepConcurrency <= 0 {
 		cfg.SweepConcurrency = cfg.Workers
 	}
@@ -287,20 +303,19 @@ func NewManager(cfg Config) *Manager {
 	cache.UseArtifacts(cfg.Artifacts)
 	cache.instrument(cfg.Metrics)
 	m := &Manager{
-		cfg:           cfg,
-		cache:         cache,
-		bus:           bus.NewInstrumented(bus.NewMetrics(cfg.Metrics)),
-		reg:           cfg.Metrics,
-		mx:            newServeMetrics(cfg.Metrics),
-		logger:        logger,
-		baseCtx:       ctx,
-		cancelBase:    cancel,
-		queue:         make(chan *job, cfg.QueueDepth),
-		metricsStop:   make(chan struct{}),
-		jobs:          make(map[string]*job),
-		sweeps:        make(map[string]*sweep),
-		doneSweepKeys: make(map[string]string),
-		startTime:     time.Now(),
+		cfg:         cfg,
+		cache:       cache,
+		bus:         bus.NewInstrumented(bus.NewMetrics(cfg.Metrics)),
+		reg:         cfg.Metrics,
+		mx:          newServeMetrics(cfg.Metrics),
+		logger:      logger,
+		baseCtx:     ctx,
+		cancelBase:  cancel,
+		queue:       make(chan *job, cfg.QueueDepth),
+		metricsStop: make(chan struct{}),
+		jobs:        make(map[string]*job),
+		sweeps:      make(map[string]*sweep),
+		startTime:   time.Now(),
 	}
 	m.mx.workers.Set(int64(cfg.Workers))
 	m.registerFuncMetrics(cfg.Metrics)
@@ -333,7 +348,7 @@ func (m *Manager) Submit(req RunRequest) (JobView, error) {
 	}
 	cached := m.lookupStored(req)
 	m.mu.Lock()
-	j, err := m.enqueueLocked(req, "", cached)
+	j, err := m.enqueueLocked(req, nil, 0, cached)
 	if err != nil {
 		m.mx.jobsRejected.Inc()
 		m.mu.Unlock()
@@ -373,10 +388,11 @@ func (m *Manager) lookupStored(req RunRequest) *RunResult {
 }
 
 // enqueueLocked creates the job record and places it on the bounded queue
-// — or, when cached carries a stored result, registers it directly in
-// state done. Callers hold m.mu and have already validated the request;
-// sweepID tags child runs of a sweep ("" for standalone submissions).
-func (m *Manager) enqueueLocked(req RunRequest, sweepID string, cached *RunResult) (*job, error) {
+// — or, when cached carries a stored result, finishes it on the spot.
+// Callers hold m.mu and have already validated the request; owner and
+// cell name the sweep cell a child run executes (nil for standalone
+// submissions).
+func (m *Manager) enqueueLocked(req RunRequest, owner *sweep, cell int, cached *RunResult) (*job, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -389,10 +405,10 @@ func (m *Manager) enqueueLocked(req RunRequest, sweepID string, cached *RunResul
 		seq:     m.seq,
 		req:     req,
 		effSeed: effSeed,
-		sweep:   sweepID,
+		owner:   owner,
+		cell:    cell,
 		state:   StateQueued,
 		created: time.Now(),
-		done:    make(chan struct{}),
 	}
 	if m.cfg.Store != nil {
 		j.key = contentKey(req, effSeed)
@@ -407,39 +423,37 @@ func (m *Manager) enqueueLocked(req RunRequest, sweepID string, cached *RunResul
 		// otherwise evict it in this very call — answering 202 with an ID
 		// that instantly 404s.
 		m.pruneLocked()
-		j.state = StateDone
-		j.result = cached
-		j.started, j.finished = j.created, j.created
-		close(j.done)
-		m.seq++
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.mx.jobsCompleted.Inc()
-		m.mx.jobsCached.Inc()
+		j.started = j.created
+	} else {
+		select {
+		case m.queue <- j:
+			m.queued++
+		default:
+			return nil, ErrQueueFull
+		}
+	}
+	// The sequence number (= Stats.Submitted) only advances for jobs
+	// actually accepted, so IDs stay gapless and the counters reconcile:
+	// submitted = queued + running + terminal states.
+	m.seq++
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
+	// The retained prefix must hold a full decimated trajectory plus the
+	// lifecycle frames, so a late joiner replays the whole run.
+	m.bus.Topic(runTopic(j.id), m.cfg.FrameBudget+16)
+	if owner != nil {
+		owner.cells[cell].jobID = j.id
+		owner.cells[cell].state = StateQueued
+	}
+	if cached != nil {
 		// Born done: the topic's whole life is one terminal state event
 		// (with the cached result attached) followed by EOF.
-		m.bus.Topic(runTopic(j.id), m.cfg.FrameBudget+16)
-		m.publishJobState(j)
+		m.finishLocked(j, StateDone, cached, nil)
 		return j, nil
 	}
-	select {
-	case m.queue <- j:
-		// The sequence number (= Stats.Submitted) only advances for jobs
-		// actually accepted, so IDs stay gapless and the counters
-		// reconcile: submitted = queued + running + terminal states.
-		m.seq++
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.queued++
-		// The retained prefix must hold a full decimated trajectory plus
-		// the lifecycle frames, so a late joiner replays the whole run.
-		m.bus.Topic(runTopic(j.id), m.cfg.FrameBudget+16)
-		m.publishJobState(j)
-		m.pruneLocked()
-		return j, nil
-	default:
-		return nil, ErrQueueFull
-	}
+	m.publishJobState(j)
+	m.pruneLocked()
+	return j, nil
 }
 
 // pruneLocked evicts the oldest finished jobs beyond the retention cap so
@@ -458,7 +472,7 @@ func (m *Manager) pruneLocked() {
 	for _, id := range m.order {
 		j := m.jobs[id]
 		finished := j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
-		if s, ok := m.sweeps[j.sweep]; ok && s.state == StateRunning {
+		if j.owner != nil && j.owner.state == StateRunning {
 			finished = false
 		}
 		if excess > 0 && finished {
@@ -518,12 +532,8 @@ func (m *Manager) cancelJobLocked(j *job) {
 	case StateQueued:
 		// The worker that eventually pops it observes the state and drops
 		// it without running.
-		j.state = StateCancelled
-		j.finished = time.Now()
 		m.queued--
-		m.mx.jobsCancelled.Inc()
-		m.publishJobState(j)
-		close(j.done)
+		m.finishLocked(j, StateCancelled, nil, nil)
 	case StateRunning:
 		j.cancel() // the worker finalises state when the run returns
 	}
@@ -563,7 +573,6 @@ func (m *Manager) Stats() Stats {
 		SweepsActive:       active,
 		SweepCellsFinished: m.mx.sweepCellsFinished.Value(),
 		CellsCached:        m.mx.cellsCached.Value(),
-		SweepsDeduped:      m.mx.sweepsDeduped.Value(),
 		WorkerID:           m.cfg.WorkerID,
 		Cache:              m.cache.Stats(),
 		ArtifactsEnabled:   m.cfg.Artifacts != nil,
@@ -624,7 +633,7 @@ func (m *Manager) viewLocked(j *job) JobView {
 		ID:      j.id,
 		State:   j.state,
 		Request: j.req,
-		Sweep:   j.sweep,
+		Sweep:   j.sweepID(),
 		Result:  j.result,
 		Created: j.created,
 	}
@@ -687,45 +696,59 @@ func (m *Manager) worker() {
 			// path covers both.
 			if rerr := m.cfg.Store.Release(j.key, m.cfg.WorkerID, j.claimFence); rerr != nil && !errors.Is(rerr, store.ErrLeaseLost) {
 				m.mx.storeErrors.Inc()
-				m.logger.Warn("serve: lease release failed", "job_id", j.id, "key", j.key, "sweep_id", j.sweep, "err", rerr)
+				m.logger.Warn("serve: lease release failed", "job_id", j.id, "key", j.key, "sweep_id", j.sweepID(), "err", rerr)
 			}
 		}
 
 		m.mu.Lock()
-		j.finished = time.Now()
 		j.cancel = nil
 		m.running--
 		switch {
 		case err == nil:
-			j.state = StateDone
-			result.QueueMS = j.started.Sub(j.created).Milliseconds()
-			j.result = result
-			m.mx.jobsCompleted.Inc()
-			m.mx.trialsRun.Add(int64(result.Trials))
-			for _, r := range result.Reports {
-				m.mx.roundsRun.Add(int64(r.Rounds))
-			}
-			m.mx.jobsEngine.With(result.Engine).Inc()
-			// The wire result omits the sync default; the counter spells it
-			// out so the stats split always sums to the executed jobs.
-			variant := result.Variant
-			if variant == "" {
-				variant = "sync"
-			}
-			m.mx.jobsVariant.With(variant).Inc()
-			m.observeStages(j, result.Engine, variant)
+			m.finishLocked(j, StateDone, result, nil)
 		case errors.Is(err, context.Canceled):
-			j.state = StateCancelled
-			m.mx.jobsCancelled.Inc()
+			m.finishLocked(j, StateCancelled, nil, nil)
 		default:
-			j.state = StateFailed
-			j.err = err
-			m.mx.jobsFailed.Inc()
-			m.logger.Warn("serve: job failed", "job_id", j.id, "key", j.key, "sweep_id", j.sweep, "err", err)
+			m.finishLocked(j, StateFailed, nil, err)
 		}
-		m.publishJobState(j) // terminal: closes the run topic
-		close(j.done)        // wakes the sweep watcher, if any
 		m.mu.Unlock()
+	}
+}
+
+// finishLocked is a job's one terminal transition: executed done, failed,
+// cancelled while running or while queued, and born done from a store hit
+// all end here. Callers hold m.mu. It counts the outcome, publishes the
+// terminal state (closing the run topic) and, for a sweep child, finishes
+// the cell it runs.
+func (m *Manager) finishLocked(j *job, state string, result *RunResult, err error) {
+	j.state, j.result, j.err = state, result, err
+	j.finished = time.Now()
+	switch {
+	case state == StateDone && result.Cached:
+		m.mx.jobsCompleted.Inc()
+		m.mx.jobsCached.Inc()
+	case state == StateDone:
+		result.QueueMS = j.started.Sub(j.created).Milliseconds()
+		m.mx.jobsCompleted.Inc()
+		m.mx.trialsRun.Add(int64(result.Trials))
+		for _, r := range result.Reports {
+			m.mx.roundsRun.Add(int64(r.Rounds))
+		}
+		m.mx.jobsEngine.With(result.Engine).Inc()
+		// The wire result omits the sync default; the counter spells it
+		// out so the stats split always sums to the executed jobs.
+		variant := cmp.Or(result.Variant, "sync")
+		m.mx.jobsVariant.With(variant).Inc()
+		m.observeStages(j, result.Engine, variant)
+	case state == StateCancelled:
+		m.mx.jobsCancelled.Inc()
+	default:
+		m.mx.jobsFailed.Inc()
+		m.logger.Warn("serve: job failed", "job_id", j.id, "key", j.key, "sweep_id", j.sweepID(), "err", err)
+	}
+	m.publishJobState(j) // terminal: closes the run topic
+	if j.owner != nil {
+		m.finishCellLocked(j)
 	}
 }
 
@@ -741,7 +764,7 @@ func (m *Manager) observeStages(j *job, engine, variant string) {
 	m.mx.persistSeconds.Observe(j.persistDur.Seconds())
 	if t := m.cfg.SlowThreshold; t > 0 && j.engineDur > t {
 		m.logger.Warn("serve: slow job",
-			"job_id", j.id, "key", j.key, "sweep_id", j.sweep,
+			"job_id", j.id, "key", j.key, "sweep_id", j.sweepID(),
 			"engine", engine, "variant", variant,
 			"queue_ms", queueWait.Milliseconds(),
 			"graph_ms", j.graphDur.Milliseconds(),
@@ -818,7 +841,7 @@ func (m *Manager) persistResult(j *job, res *RunResult) {
 	}
 	if err != nil {
 		m.mx.storeErrors.Inc()
-		m.logger.Warn("serve: result persist failed", "job_id", j.id, "key", j.key, "sweep_id", j.sweep, "err", err)
+		m.logger.Warn("serve: result persist failed", "job_id", j.id, "key", j.key, "sweep_id", j.sweepID(), "err", err)
 	}
 }
 

@@ -50,7 +50,6 @@ type serveMetrics struct {
 	sweepsRejected     *metrics.Counter
 	sweepCellsFinished *metrics.Counter
 	cellsCached        *metrics.Counter
-	sweepsDeduped      *metrics.Counter
 }
 
 func newServeMetrics(reg *metrics.Registry) *serveMetrics {
@@ -83,7 +82,6 @@ func newServeMetrics(reg *metrics.Registry) *serveMetrics {
 		sweepsRejected:     reg.Counter("bo3_sweeps_rejected_total", "Sweep submissions rejected at admission."),
 		sweepCellsFinished: reg.Counter("bo3_sweep_cells_finished_total", "Sweep child runs that reached a terminal state."),
 		cellsCached:        reg.Counter("bo3_sweep_cells_cached_total", "Sweep cells answered from the persistent result store."),
-		sweepsDeduped:      reg.Counter("bo3_sweeps_deduped_total", "Sweep submissions answered entirely from a previously completed identical grid."),
 	}
 	// Pre-create the two engine series so the exposition (and the Stats
 	// read-through) is deterministic from the first scrape, not from the

@@ -67,9 +67,9 @@ func sumFamily(samples map[string]float64, name string) float64 {
 }
 
 // TestStatsMetricsConsistency runs a mixed workload — executed, cached,
-// rejected, and cancelled jobs, a sweep, a deduped sweep resubmission, an
-// events subscriber — then asserts every /v1/stats counter equals its
-// /metrics counterpart. The two are read from the same registry, so any
+// rejected, and cancelled jobs, a sweep, its resubmission served from the
+// store, an events subscriber — then asserts every /v1/stats counter
+// equals its /metrics counterpart. The two are read from the same registry, so any
 // disagreement means the read-through wiring regressed.
 func TestStatsMetricsConsistency(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -117,7 +117,7 @@ func TestStatsMetricsConsistency(t *testing.T) {
 	doJSON(t, http.MethodDelete, ts.URL+"/v1/runs/"+v.ID, nil, http.StatusOK, nil)
 	pollDone(t, ts.URL, v.ID)
 
-	// A sweep, then its identical resubmission (deduped, cells cached).
+	// A sweep, then its identical resubmission (every cell cached).
 	sweepReq := SweepRequest{
 		Grid: SweepGrid{
 			Graphs: []GraphSpec{{Family: "complete-virtual"}},
@@ -163,7 +163,6 @@ func TestStatsMetricsConsistency(t *testing.T) {
 		{"sweeps_rejected", float64(stats.SweepsRejected), samples["bo3_sweeps_rejected_total"]},
 		{"sweep_cells_finished", float64(stats.SweepCellsFinished), samples["bo3_sweep_cells_finished_total"]},
 		{"cells_cached", float64(stats.CellsCached), samples["bo3_sweep_cells_cached_total"]},
-		{"sweeps_deduped", float64(stats.SweepsDeduped), samples["bo3_sweeps_deduped_total"]},
 		{"events_published", float64(stats.EventsPublished), sumFamily(samples, "bo3_bus_published_total")},
 		{"events_dropped", float64(stats.EventsDropped), sumFamily(samples, "bo3_bus_dropped_total")},
 		{"subscribers", float64(stats.Subscribers), samples["bo3_bus_subscribers"]},
@@ -189,7 +188,7 @@ func TestStatsMetricsConsistency(t *testing.T) {
 	}
 
 	// Sanity on the workload itself: the mixed phases all registered.
-	if stats.JobsCached < 1 || stats.Rejected < 1 || stats.SweepsDeduped != 1 || stats.SweepsCompleted != 2 {
+	if stats.JobsCached < 1 || stats.Rejected < 1 || stats.CellsCached != 2 || stats.SweepsCompleted != 2 {
 		t.Errorf("workload did not exercise all counters: %+v", stats)
 	}
 	if stats.GraphsArtifactMisses < 1 {

@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/bus"
 )
 
 // Server is the http.Handler for the bo3serve API.
@@ -213,66 +212,18 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleSweepResults streams the sweep's cells as NDJSON, one SweepEvent
 // per line in completion order, ending with a sweep event carrying the
-// final aggregate. Since PR 8 it is a thin adapter over the event bus: a
-// type-filtered subscription (cell and sweep events only, ring sized to
-// the cell count) replays the retained history and tails the live stream,
-// so late-subscriber replay is one mechanism shared with /events. The
-// stream ends when the sweep is terminal or the client goes away.
+// final aggregate. It is a thin adapter over the event bus: a type-filtered
+// subscription (cell and sweep events only, ring sized to the cell count)
+// replays the retained history and tails the live stream through the same
+// loop as /events, so late-subscriber replay is one mechanism. The stream
+// ends when the sweep is terminal or the client goes away.
 func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 	snapshot, sub, ok := s.mgr.SubscribeSweepResults(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("serve: no such sweep"))
 		return
 	}
-	defer sub.Cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, canFlush := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// emit maps one bus event to a legacy NDJSON line; stop is true after
-	// the terminal sweep event or a failed write (client gone).
-	emit := func(ev bus.Event) (stop bool) {
-		var line SweepEvent
-		switch data := ev.Data.(type) {
-		case *SweepCellView:
-			line.Cell = data
-		case *SweepView:
-			line.Sweep = data
-		default:
-			return false
-		}
-		if err := enc.Encode(line); err != nil {
-			return true
-		}
-		return line.Sweep != nil
-	}
-	for _, ev := range snapshot {
-		if emit(ev) {
-			return
-		}
-	}
-	for {
-		for {
-			ev, ok := sub.Next()
-			if !ok {
-				break
-			}
-			if emit(ev) {
-				return
-			}
-		}
-		if sub.Done() { // evicted mid-stream
-			return
-		}
-		if canFlush {
-			flusher.Flush()
-		}
-		select {
-		case <-sub.Ready():
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.streamEvents(w, r, snapshot, sub, sweepResultLines)
 }
 
 // handleResultList pages through the persistent result store, newest

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -513,6 +514,59 @@ func TestVerifyCommittedStoreSegment(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("fixture covers no %s record", want)
 		}
+	}
+}
+
+// TestResumeCommittedJournal replays a store segment an earlier bo3serve
+// wrote while it still kept a sweep-level dedupe memory: the completed
+// sweep-000001's terminal record carries "content_key", and the
+// high-water-mark record that collapsed sweep-000000 carries "done_keys".
+// Resume must settle that journal to a high-water mark of next_seq alone,
+// mint new sweep IDs past the journaled ones, and answer both completed
+// grids from the result store without executing a trial.
+func TestResumeCommittedJournal(t *testing.T) {
+	dir := t.TempDir()
+	seg, err := os.ReadFile(filepath.Join("testdata", "parentjournal", "seg-000001.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.jsonl"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	defer st.Close()
+	m := NewManager(Config{Workers: 2, TrialParallelism: 1, Store: st})
+	defer m.Close(context.Background())
+	if n, err := m.ResumeSweeps(); n != 0 || err != nil {
+		t.Fatalf("resumed %d (err %v), want a settled journal", n, err)
+	}
+	infos, err := st.Sweeps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].ID != "hwm" || string(infos[0].Body) != `{"next_seq":2}` {
+		t.Errorf("journal after resume = %+v, want only hwm {\"next_seq\":2}", infos)
+	}
+	grids := []SweepRequest{
+		{Grid: SweepGrid{Graphs: []GraphSpec{{Family: "complete-virtual"}}, NS: []int{64, 128}, Deltas: []float64{0.1}, Trials: []int{2}}, Seed: 21},
+		{Grid: SweepGrid{Graphs: []GraphSpec{{Family: "cycle", N: 64}}, Deltas: []float64{0.1, 0.2}, Trials: []int{2}}, MaxRounds: 64, Seed: 22},
+	}
+	for i, req := range grids {
+		v, err := m.SubmitSweep(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("sweep-%06d", 2+i); v.ID != want {
+			t.Errorf("new sweep ID %s, want %s past the journaled ones", v.ID, want)
+		}
+		final := waitSweepDone(t, m, v.ID)
+		if final.State != StateDone || final.CellsCached != final.Aggregate.Cells || final.Aggregate.Cells != 2 {
+			t.Errorf("grid %d: state %s, cells_cached %d of %d cells; want done, all 2 cached",
+				i, final.State, final.CellsCached, final.Aggregate.Cells)
+		}
+	}
+	if got := m.Stats().TrialsRun; got != 0 {
+		t.Errorf("repeated grids executed %d trials, want 0", got)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/rng"
@@ -114,10 +114,6 @@ type SweepView struct {
 	// equal keys compute identical aggregates. Present once the sweep has
 	// an effective seed, i.e. always on responses.
 	ContentKey string `json:"content_key,omitempty"`
-	// Deduped marks a submission whose content key was already completed
-	// by this server (or, fleet-wide, recorded in the shared journal):
-	// the sweep ran entirely from the result store.
-	Deduped bool `json:"deduped,omitempty"`
 	// ResumeRefused records why a journaled sweep could not be resumed
 	// after a restart (a server restarted with tighter limits, say); such
 	// sweeps surface as cancelled with zero cells.
@@ -154,22 +150,21 @@ type sweepCell struct {
 
 // sweep is the internal mutable record behind a SweepView.
 type sweep struct {
-	id          string
-	req         SweepRequest
-	cells       []sweepCell
-	jobs        []*job // indexed like cells; nil until scheduled
-	state       string
-	created     time.Time
-	finished    time.Time
-	concurrency int
+	id       string
+	req      SweepRequest
+	cells    []sweepCell
+	state    string
+	created  time.Time
+	finished time.Time
+	// slots bounds the in-flight cells: runSweep takes a slot before it
+	// schedules a cell, and the cell's terminal transition gives it back.
+	slots chan struct{}
 
 	// cellsCached counts cells answered from the result store; contentKey
-	// is the sweep-level content address; deduped marks a submission whose
-	// key was already completed; resumeRefused records why a journaled
-	// sweep could not be re-registered (see SweepView).
+	// is the sweep-level content address; resumeRefused records why a
+	// journaled sweep could not be re-registered (see SweepView).
 	cellsCached   int
 	contentKey    string
-	deduped       bool
 	resumeRefused string
 
 	ctx       context.Context
@@ -211,13 +206,6 @@ func (m *Manager) submitSweep(req SweepRequest) (SweepView, error) {
 	}
 	id := m.mintSweepIDLocked()
 	s := m.registerSweepLocked(id, req, reqs)
-	if _, done := m.doneSweepKeys[s.contentKey]; done {
-		// The grid (with this seed and round cap) already completed:
-		// every cell is in the result store, so the sweep runs entirely
-		// from the journal — no claims, no queue, cells_cached == cells.
-		s.deduped = true
-		m.mx.sweepsDeduped.Inc()
-	}
 	entry := m.journalEntryLocked(s)
 	view := m.sweepViewLocked(s, true)
 	m.mu.Unlock()
@@ -266,16 +254,15 @@ func (m *Manager) expandSweep(req *SweepRequest) ([]RunRequest, error) {
 func (m *Manager) registerSweepLocked(id string, req SweepRequest, reqs []RunRequest) *sweep {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	s := &sweep{
-		id:          id,
-		req:         req,
-		cells:       make([]sweepCell, len(reqs)),
-		jobs:        make([]*job, len(reqs)),
-		state:       StateRunning,
-		created:     time.Now(),
-		concurrency: req.Concurrency,
-		contentKey:  req.Grid.ContentKey(req.Seed, req.MaxRounds),
-		ctx:         ctx,
-		cancel:      cancel,
+		id:         id,
+		req:        req,
+		cells:      make([]sweepCell, len(reqs)),
+		state:      StateRunning,
+		created:    time.Now(),
+		slots:      make(chan struct{}, req.Concurrency),
+		contentKey: req.Grid.ContentKey(req.Seed, req.MaxRounds),
+		ctx:        ctx,
+		cancel:     cancel,
 	}
 	for i := range reqs {
 		s.cells[i] = sweepCell{req: reqs[i], state: StateCellPending}
@@ -311,10 +298,6 @@ type sweepJournal struct {
 	ID      string       `json:"id"`
 	State   string       `json:"state"`
 	Request SweepRequest `json:"request"`
-	// ContentKey is the sweep-level content address; terminal "done"
-	// records feed it into the dedupe memory (doneSweepKeys) before the
-	// journal collapse forgets the record itself.
-	ContentKey string `json:"content_key,omitempty"`
 	// Error records why a resume was refused, on the tombstone record a
 	// refusal leaves behind.
 	Error string `json:"error,omitempty"`
@@ -333,6 +316,19 @@ func (m *Manager) mintSweepIDLocked() string {
 	return id
 }
 
+// ValidateWorkerID accepts a fleet identity made only of letters, digits,
+// '.', '_' and '-' (or empty: no fleet). The ID becomes part of every sweep
+// ID, and so of the /v1/sweeps/{id} routes and the journal keys; a '%', '/'
+// or space would make those unroutable.
+func ValidateWorkerID(id string) error {
+	for _, r := range id {
+		if !('a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' || strings.ContainsRune("._-", r)) {
+			return fmt.Errorf("worker ID %q: character %q is outside [A-Za-z0-9._-]", id, r)
+		}
+	}
+	return nil
+}
+
 // journalEntryLocked marshals the sweep's current lifecycle record;
 // callers hold m.mu and hand the bytes to writeJournal after releasing
 // it — store I/O stays off the manager lock, like persistResult's.
@@ -341,7 +337,7 @@ func (m *Manager) journalEntryLocked(s *sweep) []byte {
 	if m.cfg.Store == nil {
 		return nil
 	}
-	body, err := json.Marshal(sweepJournal{ID: s.id, State: s.state, Request: s.req, ContentKey: s.contentKey})
+	body, err := json.Marshal(sweepJournal{ID: s.id, State: s.state, Request: s.req})
 	if err != nil {
 		m.mx.storeErrors.Inc()
 		return nil
@@ -363,19 +359,13 @@ func (m *Manager) writeJournal(id string, body []byte) {
 
 // sweepHWM is the journal's high-water-mark record: the collapsed residue
 // of every terminal sweep record this worker has retired. NextSeq keeps
-// new sweep IDs collision-free with forgotten history; DoneKeys carries
-// the completed grids' content keys (the dedupe memory) across restarts.
-// The record lives under the worker-namespaced key "hwm" / "hwm-<id>",
-// one per fleet member.
+// new sweep IDs collision-free with forgotten history. The record lives
+// under the worker-namespaced key "hwm" / "hwm-<id>", one per fleet
+// member. Decoding must ignore unknown fields: records older servers
+// wrote also carry "done_keys".
 type sweepHWM struct {
-	NextSeq  uint64            `json:"next_seq"`
-	DoneKeys map[string]string `json:"done_keys,omitempty"` // grid content key -> sweep ID
+	NextSeq uint64 `json:"next_seq"`
 }
-
-// hwmCap bounds the dedupe memory persisted in the high-water-mark
-// record; beyond it, arbitrary oldest entries are forgotten (a forgotten
-// key just re-runs as an all-cached sweep — cells_cached == cells).
-const hwmCap = 1024
 
 // hwmKey is this worker's high-water-mark record ID.
 func (m *Manager) hwmKey() string {
@@ -393,14 +383,13 @@ func (m *Manager) hwmKey() string {
 // sweep runs only the missing cells and converges to the same
 // byte-identical aggregate as an uninterrupted run with that seed and
 // grid. Terminal journal records are collapsed into the high-water-mark
-// record — their ID advances the sequence and their content key joins
-// the dedupe memory, then the record itself is tombstoned — so restart
-// scans stay O(active sweeps), not O(sweeps ever run). A record that
-// refuses to resume (a server restarted with tighter limits, say) is
-// registered as a cancelled sweep whose view carries the reason in
-// resume_refused, and tombstoned in the journal so the failure does not
-// replay on every start. Call once, after NewManager and before serving
-// traffic; returns how many sweeps were resumed.
+// record — their ID advances the sequence, then the record itself is
+// tombstoned — so restart scans stay O(active sweeps), not O(sweeps ever
+// run). A record that refuses to resume (a server restarted with tighter
+// limits, say) is registered as a cancelled sweep whose view carries the
+// reason in resume_refused, and tombstoned in the journal so the failure
+// does not replay on every start. Call once, after NewManager and before
+// serving traffic; returns how many sweeps were resumed.
 func (m *Manager) ResumeSweeps() (int, error) {
 	if m.cfg.Store == nil {
 		return 0, nil
@@ -414,9 +403,11 @@ func (m *Manager) ResumeSweeps() (int, error) {
 	var collapse []string // terminal records to fold into the high-water mark
 	for _, info := range infos {
 		if strings.HasPrefix(info.ID, "hwm") {
-			// Merge every fleet member's dedupe memory; only our own
-			// record advances our sequence.
-			m.loadHWM(info.Body, info.ID == m.hwmKey())
+			// Only our own record advances our sequence; a fleet peer's
+			// mark is its own.
+			if info.ID == m.hwmKey() {
+				m.loadHWM(info.Body)
+			}
 			continue
 		}
 		owned := m.reserveSweepID(info.ID)
@@ -427,11 +418,6 @@ func (m *Manager) ResumeSweeps() (int, error) {
 			continue
 		}
 		if entry.State != StateRunning {
-			if entry.State == StateDone && entry.ContentKey != "" {
-				m.mu.Lock()
-				m.doneSweepKeys[entry.ContentKey] = info.ID
-				m.mu.Unlock()
-			}
 			if owned {
 				collapse = append(collapse, info.ID)
 			}
@@ -464,22 +450,16 @@ func (m *Manager) ResumeSweeps() (int, error) {
 	return resumed, errors.Join(errs...)
 }
 
-// loadHWM merges one high-water-mark record into the manager; seq
-// reports whether the record is this worker's own (only then does
-// NextSeq advance the sequence).
-func (m *Manager) loadHWM(body json.RawMessage, seq bool) {
+// loadHWM advances the sweep sequence past this worker's high-water-mark
+// record.
+func (m *Manager) loadHWM(body json.RawMessage) {
 	var hwm sweepHWM
 	if json.Unmarshal(body, &hwm) != nil {
 		m.mx.storeErrors.Inc()
 		return
 	}
 	m.mu.Lock()
-	if seq && hwm.NextSeq > m.sweepSeq {
-		m.sweepSeq = hwm.NextSeq
-	}
-	for ck, id := range hwm.DoneKeys {
-		m.doneSweepKeys[ck] = id
-	}
+	m.sweepSeq = max(m.sweepSeq, hwm.NextSeq)
 	m.mu.Unlock()
 }
 
@@ -487,13 +467,7 @@ func (m *Manager) loadHWM(body json.RawMessage, seq bool) {
 // like every store write.
 func (m *Manager) writeHWM() {
 	m.mu.Lock()
-	hwm := sweepHWM{NextSeq: m.sweepSeq, DoneKeys: make(map[string]string, len(m.doneSweepKeys))}
-	for ck, id := range m.doneSweepKeys {
-		if len(hwm.DoneKeys) >= hwmCap {
-			break
-		}
-		hwm.DoneKeys[ck] = id
-	}
+	hwm := sweepHWM{NextSeq: m.sweepSeq}
 	m.mu.Unlock()
 	body, err := json.Marshal(hwm)
 	if err == nil {
@@ -556,12 +530,16 @@ func (m *Manager) tombstoneSweep(id string, req SweepRequest, cause error) {
 // advances our sequence nor is ours to collapse); the return value
 // reports ownership.
 func (m *Manager) reserveSweepID(id string) (owned bool) {
-	pattern := "sweep-%d"
+	prefix := "sweep-"
 	if m.cfg.WorkerID != "" {
-		pattern = "sweep-" + m.cfg.WorkerID + "-%d"
+		prefix += m.cfg.WorkerID + "-"
 	}
-	var n uint64
-	if _, err := fmt.Sscanf(id, pattern, &n); err != nil {
+	digits, ok := strings.CutPrefix(id, prefix)
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
 		return false
 	}
 	m.mu.Lock()
@@ -621,51 +599,41 @@ func (m *Manager) pruneSweepsLocked() {
 	m.sweepOrder = kept
 }
 
-// runSweep feeds the sweep's cells to the job pool, at most s.concurrency
-// in flight, and finalises each cell as its child run finishes. Cells are
-// fed in expansion order, so cells sharing a topology run back to back and
-// reuse the pooled graph (concurrent first-misses on one key coalesce in
-// the cache).
+// runSweep feeds the sweep's cells to the job pool in expansion order, at
+// most cap(s.slots) in flight: each cell takes a slot before it is
+// scheduled and its child run's terminal transition gives the slot back.
+// Cells sharing a topology therefore run back to back and reuse the pooled
+// graph (concurrent first-misses on one key coalesce in the cache). A slot
+// send never waits forever: every taken slot belongs to a scheduled child,
+// and every child reaches finishLocked — the workers drain the queue even
+// on shutdown.
 func (m *Manager) runSweep(s *sweep) {
 	defer m.sweepWG.Done()
-	sem := make(chan struct{}, s.concurrency)
-	var watchers sync.WaitGroup
 	for i := range s.cells {
-		select {
-		case sem <- struct{}{}:
-		case <-s.ctx.Done():
-		}
-		if s.ctx.Err() != nil {
+		s.slots <- struct{}{}
+		if s.ctx.Err() != nil || m.scheduleCell(s, i) != nil {
+			// Cancelled, or shutdown (queue pressure is waited out): the
+			// slot goes back unused, and finalizeSweep cancels the
+			// unscheduled rest.
+			<-s.slots
 			break
 		}
-		j, err := m.scheduleCell(s, i)
-		if err != nil {
-			// Only shutdown or cancellation get here (queue pressure is
-			// waited out); finalizeSweep cancels the unscheduled rest.
-			<-sem
-			break
-		}
-		watchers.Add(1)
-		go func(i int, j *job) {
-			defer watchers.Done()
-			<-j.done
-			m.finalizeCell(s, i, j)
-			<-sem
-		}(i, j)
 	}
-	watchers.Wait()
+	// Every slot free again means every scheduled cell has finished.
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
+	}
 	m.finalizeSweep(s)
 }
 
 // scheduleCell enqueues one cell's child run, waiting out transient queue
 // pressure. Cells whose content key is already in the result store come
 // back as born-done jobs without touching the queue — on a resumed sweep
-// that is every cell that finished before the crash; on a deduped
-// re-submission, the whole grid. In fleet mode a store miss goes through
-// the claim protocol first, so no two workers execute one cell
-// concurrently. A non-transient failure records the cell as failed (or
-// cancelled for shutdown) and is returned.
-func (m *Manager) scheduleCell(s *sweep, i int) (*job, error) {
+// that is every cell that finished before the crash; on a repeated grid,
+// all of them. In fleet mode a store miss goes through the claim protocol
+// first, so no two workers execute one cell concurrently. A non-transient
+// failure records the cell as cancelled and is returned.
+func (m *Manager) scheduleCell(s *sweep, i int) error {
 	// The store read happens before the lock, like Submit's.
 	cached := m.lookupStored(s.cells[i].req)
 	var fence uint64
@@ -676,14 +644,14 @@ func (m *Manager) scheduleCell(s *sweep, i int) (*job, error) {
 	for {
 		m.mu.Lock()
 		// Re-check cancellation under the lock: CancelSweep cancels the
-		// jobs in s.jobs while holding m.mu, so a cell enqueued after a
-		// cancel it did not see would escape it entirely.
+		// sweep's queued and running cells while holding m.mu, so a cell
+		// enqueued after a cancel it did not see would escape it entirely.
 		if s.cancelled || s.ctx.Err() != nil {
 			m.markCellLocked(s, i, StateCancelled, "")
 			m.mu.Unlock()
-			return nil, context.Canceled
+			return context.Canceled
 		}
-		j, err := m.enqueueLocked(s.cells[i].req, s.id, cached)
+		j, err := m.enqueueLocked(s.cells[i].req, s, i, cached)
 		if err == nil {
 			// The claim fields are set in the same critical section as the
 			// enqueue: the worker that pops this job first takes m.mu, so
@@ -693,11 +661,8 @@ func (m *Manager) scheduleCell(s *sweep, i int) (*job, error) {
 				s.cellsCached++
 				m.mx.cellsCached.Inc()
 			}
-			s.cells[i].jobID = j.id
-			s.cells[i].state = StateQueued
-			s.jobs[i] = j
 			m.mu.Unlock()
-			return j, nil
+			return nil
 		}
 		if !errors.Is(err, ErrQueueFull) {
 			// Shutdown: the sweep was interrupted, so it must finalise as
@@ -705,7 +670,7 @@ func (m *Manager) scheduleCell(s *sweep, i int) (*job, error) {
 			s.cancelled = true
 			m.markCellLocked(s, i, StateCancelled, "")
 			m.mu.Unlock()
-			return nil, err
+			return err
 		}
 		m.mu.Unlock()
 		select {
@@ -714,7 +679,7 @@ func (m *Manager) scheduleCell(s *sweep, i int) (*job, error) {
 			m.mu.Lock()
 			m.markCellLocked(s, i, StateCancelled, "")
 			m.mu.Unlock()
-			return nil, s.ctx.Err()
+			return s.ctx.Err()
 		}
 	}
 }
@@ -767,11 +732,12 @@ func (m *Manager) markCellLocked(s *sweep, i int, state, errMsg string) {
 	m.bus.Publish(sweepTopic(s.id), EventCell, &cv)
 }
 
-// finalizeCell copies the finished child run's outcome into the cell.
-func (m *Manager) finalizeCell(s *sweep, i int, j *job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := &s.cells[i]
+// finishCellLocked copies a sweep child's terminal outcome into its cell
+// and gives the cell's slot back; finishLocked calls it with m.mu held.
+// The receive never blocks: runSweep took the slot before scheduling the
+// cell.
+func (m *Manager) finishCellLocked(j *job) {
+	s, c := j.owner, &j.owner.cells[j.cell]
 	errMsg := ""
 	if j.err != nil {
 		errMsg = j.err.Error()
@@ -790,11 +756,12 @@ func (m *Manager) finalizeCell(s *sweep, i int, j *job) {
 			ElapsedMS:       r.ElapsedMS,
 		}
 	}
-	m.markCellLocked(s, i, j.state, errMsg)
+	m.markCellLocked(s, j.cell, j.state, errMsg)
+	<-s.slots
 }
 
-// finalizeSweep marks the sweep terminal once the scheduler and every
-// watcher have exited. Cells never handed to the pool become cancelled.
+// finalizeSweep marks the sweep terminal once every scheduled cell has
+// finished. Cells never handed to the pool become cancelled.
 func (m *Manager) finalizeSweep(s *sweep) {
 	m.mu.Lock()
 	for i := range s.cells {
@@ -808,12 +775,6 @@ func (m *Manager) finalizeSweep(s *sweep) {
 	} else {
 		s.state = StateDone
 		m.mx.sweepsCompleted.Inc()
-		if s.contentKey != "" {
-			// Remember the completed grid: a repeated POST of this content
-			// key is answered entirely from the store, and the journal's
-			// high-water-mark record carries the memory across restarts.
-			m.doneSweepKeys[s.contentKey] = s.id
-		}
 	}
 	s.finished = time.Now()
 	s.cancel()
@@ -828,10 +789,6 @@ func (m *Manager) finalizeSweep(s *sweep) {
 	// reads of finished sweeps stop paying the O(cells) fold under m.mu.
 	agg := m.foldAggregateLocked(s)
 	s.agg = &agg
-	// Only CancelSweep reads s.jobs, and it is a no-op on a terminal
-	// sweep; dropping the references lets pruneLocked evictions actually
-	// free the child jobs (and their per-trial reports).
-	s.jobs = nil
 	// The terminal summary is always the topic's last event; Close turns
 	// attached watchers' streams into EOF once they drain it.
 	view := m.sweepViewLocked(s, false)
@@ -853,18 +810,6 @@ func (m *Manager) GetSweep(id string) (SweepView, bool) {
 		return SweepView{}, false
 	}
 	return m.sweepViewLocked(s, true), true
-}
-
-// GetSweepSummary is GetSweep without the per-cell views — for consumers
-// that only need the state and aggregate, like the final stream event.
-func (m *Manager) GetSweepSummary(id string) (SweepView, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.sweeps[id]
-	if !ok {
-		return SweepView{}, false
-	}
-	return m.sweepViewLocked(s, false), true
 }
 
 // ListSweeps returns snapshots of the most recent sweeps, newest first and
@@ -896,19 +841,21 @@ func (m *Manager) CancelSweep(id string) (SweepView, bool) {
 		s.cancelled = true
 		s.userCancelled = true
 		s.cancel()
-		for _, j := range s.jobs {
-			if j != nil {
-				m.cancelJobLocked(j)
+		// A cell is queued from scheduling until its child's terminal
+		// transition, and children of a running sweep are never pruned.
+		for i := range s.cells {
+			if s.cells[i].state == StateQueued {
+				m.cancelJobLocked(m.jobs[s.cells[i].jobID])
 			}
 		}
 	}
 	return m.sweepViewLocked(s, true), true
 }
 
-// cellViewLocked snapshots one cell; callers hold m.mu. Until
-// finalizeCell records the terminal state, the live child job is the
-// source of truth, so an executing cell shows "running" rather than the
-// stale "queued" set at scheduling time.
+// cellViewLocked snapshots one cell; callers hold m.mu. Until the child's
+// terminal transition records the cell's outcome, the live child job is
+// the source of truth, so an executing cell shows "running" rather than
+// the "queued" set at scheduling time.
 func (m *Manager) cellViewLocked(s *sweep, i int) SweepCellView {
 	c := &s.cells[i]
 	v := SweepCellView{
@@ -918,8 +865,8 @@ func (m *Manager) cellViewLocked(s *sweep, i int) SweepCellView {
 		Request: c.req,
 		Error:   c.err,
 	}
-	if v.State == StateQueued && s.jobs != nil && s.jobs[i] != nil && s.jobs[i].state == StateRunning {
-		v.State = StateRunning
+	if v.State == StateQueued {
+		v.State = m.jobs[c.jobID].state
 	}
 	if c.result != nil {
 		r := *c.result
@@ -937,7 +884,6 @@ func (m *Manager) sweepViewLocked(s *sweep, includeCells bool) SweepView {
 		Aggregate:     m.aggregateLocked(s),
 		CellsCached:   s.cellsCached,
 		ContentKey:    s.contentKey,
-		Deduped:       s.deduped,
 		ResumeRefused: s.resumeRefused,
 		Created:       s.created,
 	}

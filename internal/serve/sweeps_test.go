@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,45 +168,50 @@ func TestSweepDeterministicAggregate(t *testing.T) {
 	}
 }
 
+// TestSweepValidation rejects each bad grid with its own cause. The server
+// caps only MaxSweepCells, so every other limit keeps its default.
 func TestSweepValidation(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 1, Limits: Limits{MaxSweepCells: 8}})
-	cases := map[string]SweepRequest{
-		"no graphs": {Grid: SweepGrid{Deltas: []float64{0.1}}},
-		"no deltas": {Grid: SweepGrid{Graphs: []GraphSpec{{Family: "cycle", N: 8}}}},
-		"ns on torus": {Grid: SweepGrid{
+	cases := map[string]struct {
+		req   SweepRequest
+		cause string
+	}{
+		"no graphs": {SweepRequest{Grid: SweepGrid{Deltas: []float64{0.1}}}, "grid.graphs must list at least one topology"},
+		"no deltas": {SweepRequest{Grid: SweepGrid{Graphs: []GraphSpec{{Family: "cycle", N: 8}}}}, "grid.deltas must list at least one imbalance"},
+		"ns on torus": {SweepRequest{Grid: SweepGrid{
 			Graphs: []GraphSpec{{Family: "torus", Rows: 4, Cols: 4}},
 			NS:     []int{16},
 			Deltas: []float64{0.1},
-		}},
-		"server cap": {Grid: SweepGrid{
+		}}, `family "torus" does not take n`},
+		"server cap": {SweepRequest{Grid: SweepGrid{
 			Graphs: []GraphSpec{{Family: "cycle"}},
 			NS:     []int{8, 16, 32},
 			Deltas: []float64{0.1, 0.2, 0.3},
-		}},
-		"request cap": {
+		}}, "grid expands to 9 cells, exceeding the cap of 8"},
+		"request cap": {SweepRequest{
 			Grid: SweepGrid{
 				Graphs: []GraphSpec{{Family: "cycle"}},
 				NS:     []int{8, 16},
 				Deltas: []float64{0.1, 0.2},
 			},
 			MaxCells: 3,
-		},
-		"bad cell": {Grid: SweepGrid{
+		}, "grid expands to 4 cells, exceeding the cap of 3"},
+		"bad cell": {SweepRequest{Grid: SweepGrid{
 			Graphs: []GraphSpec{{Family: "cycle", N: 8}},
 			Deltas: []float64{0.1},
 			Ties:   []string{"coin"},
-		}},
-		"k above bound": {Grid: SweepGrid{
+		}}, `cell 0: rule: unknown tie rule "coin"`},
+		"k above bound": {SweepRequest{Grid: SweepGrid{
 			Graphs: []GraphSpec{{Family: "cycle", N: 8}},
 			Deltas: []float64{0.1},
 			Ks:     []int{3, spec.MaxK + 1},
-		}},
+		}}, fmt.Sprintf("cell 1: rule: k = %d exceeds the maximum %d", spec.MaxK+1, spec.MaxK)},
 	}
-	for name, req := range cases {
+	for name, c := range cases {
 		var e errorBody
-		doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", req, http.StatusBadRequest, &e)
-		if e.Error == "" {
-			t.Errorf("%s: empty error body", name)
+		doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", c.req, http.StatusBadRequest, &e)
+		if !strings.Contains(e.Error, c.cause) {
+			t.Errorf("%s: error %q, want it to name %q", name, e.Error, c.cause)
 		}
 	}
 	var stats Stats
@@ -351,6 +358,46 @@ func TestSweepCancelMidRun(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, http.StatusOK, &stats)
 	if stats.SweepsCancelled != 1 {
 		t.Errorf("sweeps_cancelled = %d, want 1", stats.SweepsCancelled)
+	}
+}
+
+// TestSweepCancelFinishesQueuedCells cancels a sweep whose children wait
+// in the job queue behind one busy worker: each queued child's terminal
+// transition must finish its cell and free its slot, or the scheduler
+// never finalises the sweep.
+func TestSweepCancelFinishesQueuedCells(t *testing.T) {
+	m := NewManager(Config{Workers: 1, TrialParallelism: 1, SweepConcurrency: 3})
+	defer m.Close(context.Background())
+	req := slowSweep(4)
+	req.Grid.Trials = []int{400, 401, 402}
+	v, err := m.SubmitSweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		cur, _ := m.GetSweep(v.ID)
+		if cur.Cells[0].State == StateRunning && cur.Cells[1].State == StateQueued && cur.Cells[2].State == StateQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cells never reached running/queued/queued: %s %s %s", cur.Cells[0].State, cur.Cells[1].State, cur.Cells[2].State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.CancelSweep(v.ID)
+	final := waitSweepDone(t, m, v.ID)
+	if final.State != StateCancelled || final.Aggregate.Pending != 0 {
+		t.Fatalf("sweep = %s with %+v, want cancelled with no pending cells", final.State, final.Aggregate)
+	}
+	for _, c := range final.Cells[1:] {
+		job, _ := m.Get(c.JobID)
+		if c.State != StateCancelled || job.State != StateCancelled {
+			t.Errorf("queued cell %d: cell %s, job %s; want both cancelled", c.Index, c.State, job.State)
+		}
+	}
+	if st := m.Stats(); st.Queued != 0 || st.Cancelled != 3 {
+		t.Errorf("stats queued %d, cancelled %d; want 0 and 3", st.Queued, st.Cancelled)
 	}
 }
 

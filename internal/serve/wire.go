@@ -164,10 +164,8 @@ type Stats struct {
 	// CellsCached counts sweep cells answered from the persistent result
 	// store without executing (a resumed sweep's pre-crash cells, a
 	// repeated grid's entire expansion, or cells a fleet peer computed
-	// first); SweepsDeduped counts sweep submissions whose grid content
-	// key was already completed (every cell of such a sweep is cached).
-	CellsCached   int64 `json:"cells_cached"`
-	SweepsDeduped int64 `json:"sweeps_deduped"`
+	// first).
+	CellsCached int64 `json:"cells_cached"`
 	// WorkerID is this process's fleet identity; empty outside fleet mode.
 	WorkerID string `json:"worker_id,omitempty"`
 	// Cache is the graph-pool snapshot.
