@@ -71,7 +71,7 @@ var scenarios = []scenario{
 	},
 	{
 		name:        "round/regular-noise",
-		description: "general-engine round throughput with per-sample noise (scalar fallback path)",
+		description: "general-engine round throughput with per-sample noise (scalar path, flips drawn through rng.BinomialTable)",
 		run:         roundRegularNoise,
 	},
 	{

@@ -138,7 +138,7 @@ func RoundBudget(g Topology, delta float64, maxRounds int) int {
 // checked between rounds: a cancelled run returns the partial report
 // (trajectory up to the last completed round) together with ctx.Err().
 func Run(ctx context.Context, g Topology, delta float64, opt Options) (Report, error) {
-	if delta < 0 || delta > 0.5 {
+	if !(delta >= 0 && delta <= 0.5) {
 		return Report{}, fmt.Errorf("core: delta = %v outside [0, 0.5]", delta)
 	}
 	rule := opt.Rule

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestRunBestOfThreeHappyPath(t *testing.T) {
 
 func TestRunRejectsBadDelta(t *testing.T) {
 	g := graph.Complete(8)
-	for _, d := range []float64{-0.1, 0.6} {
+	for _, d := range []float64{-0.1, 0.6, math.NaN()} {
 		if _, err := Run(context.Background(), g, d, Options{}); err == nil {
 			t.Errorf("delta %v accepted", d)
 		}

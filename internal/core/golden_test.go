@@ -60,6 +60,12 @@ var (
 		// k = 40 lets a noise flip draw Bin(m ≥ 32, 0.4): the BTRS branch
 		// of rng.Source.Binomial.
 		{"k40noise0.4", &spec.RuleSpec{K: 40, Noise: 0.4}},
+		// At noise 0.05, m·p ≤ 2 < 10, so k = 40 draws Bin(m, 0.05) by
+		// geometric skips on both sides of rng.BinomialTable's 32-trial
+		// cap.
+		{"k40noise0.05", &spec.RuleSpec{K: 40, Noise: 0.05}},
+		// Noise 1/2 is Binomial's per-trial branch at its upper edge.
+		{"k3noise0.5", &spec.RuleSpec{K: 3, Noise: 0.5}},
 	}
 	goldenEngines = []string{"auto", "general"}
 	goldenSeeds   = []uint64{1, 2, 3}

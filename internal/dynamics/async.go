@@ -21,6 +21,7 @@ type AsyncProcess struct {
 	rule   Rule
 	cfg    *opinion.Config
 	src    *rng.Source
+	flips  *rng.BinomialTable // nil without noise
 	sweeps int
 	blues  int
 }
@@ -44,7 +45,11 @@ func NewAsync(g Topology, rule Rule, init *opinion.Config, seed uint64) (*AsyncP
 		return nil, fmt.Errorf("dynamics: graph %s has an isolated vertex", g.Name())
 	}
 	cfg := init.Clone()
-	return &AsyncProcess{g: g, rule: rule, cfg: cfg, src: rng.New(seed), blues: cfg.Blues()}, nil
+	a := &AsyncProcess{g: g, rule: rule, cfg: cfg, src: rng.New(seed), blues: cfg.Blues()}
+	if rule.Noise > 0 {
+		a.flips = rng.NewBinomialTable(rule.Noise, rule.K)
+	}
+	return a, nil
 }
 
 // Config returns the current configuration. The returned value aliases
@@ -70,7 +75,7 @@ func (a *AsyncProcess) Majority() opinion.Colour { return majority(a.blues, a.g.
 func (a *AsyncProcess) Tick() {
 	v := a.src.Intn(a.g.N())
 	words := a.cfg.BlueSet().Words()
-	if bit := updateScalar(a.g, &a.rule, words, v, a.src); bit != (words[v>>6]>>(uint(v)&63))&1 {
+	if bit := updateScalar(a.g, &a.rule, a.flips, words, v, a.src); bit != (words[v>>6]>>(uint(v)&63))&1 {
 		if bit == 1 {
 			a.blues++
 			a.cfg.Set(v, opinion.Blue)

@@ -9,11 +9,12 @@ import (
 )
 
 // refStep replicates the pre-batching scalar update loop exactly — raw
-// per-sample Uint64n draws, bit-by-bit reads and writes — over [0, n),
-// drawing from src, a copy of the engine's one stream. The batched engine
-// must reproduce it byte for byte: buffering refills words in blocks but
-// consumes them in the identical order, so the trajectory contract (fixed
-// seed ⇒ fixed outcome) survives the optimisation.
+// per-sample Uint64n draws, Source.Binomial noise flips, bit-by-bit reads
+// and writes — over [0, n), drawing from src, a copy of the engine's one
+// stream. The engine must reproduce it byte for byte: buffering refills
+// words in blocks but consumes them in the identical order, and the noisy
+// path's flip sampler draws exactly what Binomial draws, so the trajectory
+// contract (fixed seed ⇒ fixed outcome) survives both optimisations.
 func refStep(g Topology, rule Rule, cur, next *opinion.Config, src *rng.Source) {
 	k := rule.K
 	for v := 0; v < g.N(); v++ {
@@ -41,6 +42,9 @@ func refStep(g Topology, rule Rule, cur, next *opinion.Config, src *rng.Source) 
 				}
 			}
 		}
+		if rule.Noise > 0 {
+			blues += src.Binomial(k-blues, rule.Noise) - src.Binomial(blues, rule.Noise)
+		}
 		var col opinion.Colour
 		switch {
 		case 2*blues > k:
@@ -61,9 +65,9 @@ func refStep(g Topology, rule Rule, cur, next *opinion.Config, src *rng.Source) 
 }
 
 // TestBatchedMatchesScalarReference pins the determinism contract of the
-// batched general engine: for every rule shape, each round's configuration
-// is byte-identical to the reference scalar implementation driven by the
-// same seed's stream.
+// general engine, batched and (for noisy rules) scalar: for every rule
+// shape, each round's configuration is byte-identical to the reference
+// scalar implementation driven by the same seed's stream.
 func TestBatchedMatchesScalarReference(t *testing.T) {
 	const n, seed = 640, 77
 	g := graph.RandomRegular(n, 12, rng.New(1))
@@ -74,6 +78,10 @@ func TestBatchedMatchesScalarReference(t *testing.T) {
 		{K: 2, Tie: TieRandom},
 		{K: 3, WithoutReplacement: true},
 		{K: 4, Tie: TieRandom, WithoutReplacement: true},
+		{K: 3, Noise: 0.05},
+		{K: 2, Tie: TieRandom, Noise: 0.1},
+		{K: 40, Noise: 0.05},
+		{K: 3, WithoutReplacement: true, Noise: 0.5},
 	}
 	for _, rule := range rules {
 		init := opinion.RandomConfig(n, 0.45, rng.New(2))
@@ -92,7 +100,7 @@ func TestBatchedMatchesScalarReference(t *testing.T) {
 			refStep(g, rule, cur, next, src)
 			cur, next = next, cur
 			if !p.Config().Equal(cur) {
-				t.Fatalf("%s: batched engine diverged from scalar reference at round %d (blues %d vs %d)",
+				t.Fatalf("%s: engine diverged from scalar reference at round %d (blues %d vs %d)",
 					rule.Name(), round+1, p.Config().Blues(), cur.Blues())
 			}
 		}
@@ -122,7 +130,7 @@ func TestBatchedKnMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNoiseDeterminism pins the scalar fallback: noisy rules remain a
+// TestNoiseDeterminism pins the noisy scalar path: noisy rules remain a
 // deterministic function of the seed.
 func TestNoiseDeterminism(t *testing.T) {
 	g := graph.RandomRegular(256, 8, rng.New(4))

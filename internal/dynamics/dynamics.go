@@ -199,7 +199,7 @@ func (r Rule) Validate() error {
 	if r.K < 1 {
 		return fmt.Errorf("dynamics: rule K = %d, want >= 1", r.K)
 	}
-	if r.Noise < 0 || r.Noise > 0.5 {
+	if !(r.Noise >= 0 && r.Noise <= 0.5) {
 		return fmt.Errorf("dynamics: rule noise = %v, want in [0, 0.5]", r.Noise)
 	}
 	return nil
@@ -236,6 +236,9 @@ type Process struct {
 	// read it directly, the noise-free batched path through buf.
 	src *rng.Source
 	buf sampleBuf
+	// flips draws the noisy scalar path's Bin(m, Noise) sample flips (nil
+	// without noise and under the mean-field engine).
+	flips *rng.BinomialTable
 
 	// Mean-field state: the blue count is the whole configuration. cur is
 	// materialised from it lazily (mfDirty tracks staleness) so Config()
@@ -301,6 +304,9 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 		src:     src,
 		buf:     sampleBuf{src: src, pos: sampleBufWords},
 		mfBlues: init.Blues(),
+	}
+	if rule.Noise > 0 && engine == EngineGeneral {
+		p.flips = rng.NewBinomialTable(rule.Noise, rule.K)
 	}
 	n := g.N()
 	if len(opt.Stubborn) > 0 {
@@ -396,8 +402,8 @@ func (p *Process) Step() {
 	}
 	// Noise-free rules take the batched path (buffered RNG, word-at-a-time
 	// bitset access); noisy rules keep the scalar path, whose per-vertex
-	// Binomial draws pull from the raw source and must not interleave with
-	// the refill buffer.
+	// flip draws pull from the raw source and must not interleave with the
+	// refill buffer.
 	if p.rule.Noise > 0 {
 		p.stepScalar()
 	} else {
@@ -469,10 +475,10 @@ func (p *Process) stepBatched() {
 }
 
 // stepScalar is the update loop for rules with per-sample noise: their
-// Binomial draws consume the raw source directly, and the trajectory
-// contract (fixed seed ⇒ fixed outcome) pins this consumption order. Like
-// the batched path it assembles each 64-vertex block in a register and
-// stores it with one write.
+// flip draws consume the raw source directly, and the trajectory contract
+// (fixed seed ⇒ fixed outcome) pins this consumption order. Like the
+// batched path it assembles each 64-vertex block in a register and stores
+// it with one write.
 func (p *Process) stepScalar() {
 	n := p.g.N()
 	cur := p.cur.BlueSet().Words()
@@ -482,7 +488,7 @@ func (p *Process) stepScalar() {
 		end := min(base+64, n)
 		var out uint64
 		for v := base; v < end; v++ {
-			out |= updateScalar(p.g, &p.rule, cur, v, src) << (uint(v) & 63)
+			out |= updateScalar(p.g, &p.rule, p.flips, cur, v, src) << (uint(v) & 63)
 		}
 		next.SetWord(base>>6, out)
 	}
@@ -496,10 +502,19 @@ func (p *Process) stepScalar() {
 // rule. cur holds the configuration's packed blue words; the result is
 // v's new opinion as a bit (1 = Blue). Like the batched path it indexes
 // CSR rows directly when the topology offers them; the draws are the same
-// either way.
-func updateScalar(g Topology, rule *Rule, cur []uint64, v int, src *rng.Source) uint64 {
+// either way. flips is the rule's noise sampler (nil without noise): it
+// draws exactly what src.Binomial(m, rule.Noise) would.
+func updateScalar(g Topology, rule *Rule, flips *rng.BinomialTable, cur []uint64, v int, src *rng.Source) uint64 {
 	k := rule.K
-	deg := g.Degree(v)
+	ns, hasRows := g.(neighborSlicer)
+	var row []int32
+	var deg int
+	if hasRows {
+		row = ns.Neighbors(v)
+		deg = len(row)
+	} else {
+		deg = g.Degree(v)
+	}
 	blues := 0
 	if rule.WithoutReplacement && deg >= k {
 		var chosenArr [8]int
@@ -519,8 +534,7 @@ func updateScalar(g Topology, rule *Rule, cur []uint64, v int, src *rng.Source) 
 			w := g.Neighbor(v, idx)
 			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
 		}
-	} else if ns, ok := g.(neighborSlicer); ok {
-		row := ns.Neighbors(v)
+	} else if hasRows {
 		for i := 0; i < k; i++ {
 			w := int(row[src.Intn(deg)])
 			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
@@ -531,11 +545,11 @@ func updateScalar(g Topology, rule *Rule, cur []uint64, v int, src *rng.Source) 
 			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
 		}
 	}
-	if rule.Noise > 0 {
+	if flips != nil {
 		// Flip each of the k observed opinions independently: of the
 		// `blues` blue samples, Bin(blues, noise) flip to red; of the
 		// red samples, Bin(k−blues, noise) flip to blue.
-		blues += src.Binomial(k-blues, rule.Noise) - src.Binomial(blues, rule.Noise)
+		blues += flips.Sample(src, k-blues) - flips.Sample(src, blues)
 	}
 	switch {
 	case 2*blues > k:

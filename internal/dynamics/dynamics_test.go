@@ -402,6 +402,17 @@ func TestQuickColourSymmetry(t *testing.T) {
 	}
 }
 
+// benchSteps times b.N rounds of p on an n-vertex topology, resetting
+// the blue count to n/2 before each one so every timed round samples a
+// mixed state, as bo3bench's round/* scenarios do.
+func benchSteps(b *testing.B, p *Process, n int) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.SetBlueCount(n / 2)
+		p.Step()
+	}
+}
+
 func BenchmarkStepComplete4096(b *testing.B) {
 	g := graph.Complete(4096)
 	cfg := opinion.RandomConfig(4096, 0.4, rng.New(1))
@@ -409,10 +420,7 @@ func BenchmarkStepComplete4096(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Step()
-	}
+	benchSteps(b, p, 4096)
 }
 
 func BenchmarkStepRegular65536(b *testing.B) {
@@ -422,9 +430,42 @@ func BenchmarkStepRegular65536(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchSteps(b, p, 65536)
+}
+
+// The noisy benchmarks take the shape of the sweep-variants perfbench
+// workload's noise cells: random-regular n = 2¹⁵, d = 32, Best-of-Three
+// with per-sample noise 0.05.
+const noisyBenchN = 1 << 15
+
+var noisyBenchRule = Rule{K: 3, Noise: 0.05}
+
+func BenchmarkStepNoisyRegular32768(b *testing.B) {
+	g := graph.RandomRegular(noisyBenchN, 32, rng.New(1))
+	cfg := opinion.RandomConfig(noisyBenchN, 0.4, rng.New(2))
+	p, err := New(g, noisyBenchRule, cfg, Options{Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSteps(b, p, noisyBenchN)
+}
+
+// BenchmarkAsyncNoisySweep times one sweep (n ticks) of the noisy async
+// dynamic. Noise holds the configuration off consensus, near the noisy
+// fixed point where the workload's round-capped cells spend their time,
+// so no reset is needed.
+func BenchmarkAsyncNoisySweep(b *testing.B) {
+	g := graph.RandomRegular(noisyBenchN, 32, rng.New(1))
+	cfg := opinion.RandomConfig(noisyBenchN, 0.4, rng.New(2))
+	a, err := NewAsync(g, noisyBenchRule, cfg, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Step()
+		for j := 0; j < noisyBenchN; j++ {
+			a.Tick()
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -15,6 +16,9 @@ func TestNoiseValidation(t *testing.T) {
 	}
 	if err := (Rule{K: 3, Noise: 0.6}).Validate(); err == nil {
 		t.Error("noise > 1/2 accepted")
+	}
+	if err := (Rule{K: 3, Noise: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN noise accepted")
 	}
 	if err := (Rule{K: 3, Noise: 0.5}).Validate(); err != nil {
 		t.Errorf("noise = 1/2 rejected: %v", err)

@@ -159,7 +159,7 @@ func Barbell(k int) *Graph {
 // skipping over the (n choose 2) canonical edge slots, so the run time is
 // O(n + m) rather than O(n²).
 func Gnp(n int, p float64, src *rng.Source) *Graph {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("graph: Gnp requires p in [0,1]")
 	}
 	b := NewBuilder(n)
@@ -352,7 +352,7 @@ func complement(g *Graph) *Graph {
 // minimum degree d = ceil(n^alpha): a random d-regular graph (so min degree
 // is exactly d). It panics unless 0 < alpha <= 1.
 func DenseMinDegree(n int, alpha float64, src *rng.Source) *Graph {
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) {
 		panic("graph: DenseMinDegree requires alpha in (0,1]")
 	}
 	d := int(math.Ceil(math.Pow(float64(n), alpha)))
@@ -375,7 +375,7 @@ func DenseMinDegree(n int, alpha float64, src *rng.Source) *Graph {
 // Used by the social-polling example: two communities with different
 // internal densities.
 func SBM(a, b int, pin, pout float64, src *rng.Source) *Graph {
-	if pin < 0 || pin > 1 || pout < 0 || pout > 1 {
+	if !(pin >= 0 && pin <= 1 && pout >= 0 && pout <= 1) {
 		panic("graph: SBM probabilities must lie in [0,1]")
 	}
 	n := a + b
@@ -466,7 +466,7 @@ func WattsStrogatz(n, k int, beta float64, src *rng.Source) *Graph {
 	if k < 1 || 2*k >= n {
 		panic(fmt.Sprintf("graph: WattsStrogatz requires 1 <= k < n/2, got n=%d k=%d", n, k))
 	}
-	if beta < 0 || beta > 1 {
+	if !(beta >= 0 && beta <= 1) {
 		panic("graph: WattsStrogatz requires beta in [0,1]")
 	}
 	type edge = [2]int32

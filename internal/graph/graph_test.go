@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -230,7 +231,7 @@ func TestGnpExtremes(t *testing.T) {
 }
 
 func TestGnpPanicsOnBadP(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.1} {
+	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -123,7 +123,7 @@ func (c *Config) Clone() *Config {
 // 1..q−1. share0 = 1/q is the balanced case; share0 > 1/q gives opinion 0
 // the initial plurality (the analogue of the paper's 1/2 + δ).
 func RandomBiasedConfig(n, q int, share0 float64, src *rng.Source) *Config {
-	if share0 < 0 || share0 > 1 {
+	if !(share0 >= 0 && share0 <= 1) {
 		panic("plurality: share0 outside [0,1]")
 	}
 	c := NewConfig(n, q)

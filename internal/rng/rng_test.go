@@ -328,7 +328,7 @@ func TestGeometricOne(t *testing.T) {
 }
 
 func TestGeometricPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.3, 1.5} {
+	for _, p := range []float64{0, -0.3, 1.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -524,5 +524,138 @@ func TestFillEmpty(t *testing.T) {
 	a.Fill(nil)
 	if a.Uint64() != b.Uint64() {
 		t.Error("Fill(nil) advanced the state")
+	}
+}
+
+// binomialTableProbs are the noise levels the table tests sweep: a p so
+// small that Binomial's skips overflow int (the table must leave it to
+// Binomial, whose draws there are wrong, even above n), both ends of the
+// geometric branch, the float just below its 0.1 cut-off, and p from 0.1
+// to 1/2, which the table leaves to Binomial.
+var binomialTableProbs = []float64{1e-20, 1e-9, 0.01, 0.05, math.Nextafter(0.1, 0), 0.1, 0.25, 0.5}
+
+// binomialTableMaxN is the table size the tests build: spec.MaxK, the
+// largest sample count a rule can ask for.
+const binomialTableMaxN = 255
+
+// checkTableDraws draws Bin(n, p) draws times from two sources seeded
+// alike, through the table and through Source.Binomial: every value must
+// agree, and both must leave the stream at the same word.
+func checkTableDraws(t *testing.T, tbl *BinomialTable, p float64, n int, seed uint64, draws int) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	for i := 0; i < draws; i++ {
+		if got, want := tbl.Sample(a, n), b.Binomial(n, p); got != want {
+			t.Fatalf("p=%v n=%d draw %d: table %d, Binomial %d", p, n, i, got, want)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatalf("p=%v n=%d: table consumed a different number of words", p, n)
+	}
+}
+
+// TestBinomialTableMatchesBinomial: from equal seeds, every draw of the
+// table equals Source.Binomial's, and both leave the stream at the same
+// word. n runs past the table into Binomial's BTRS region for p ≥ 0.05.
+func TestBinomialTableMatchesBinomial(t *testing.T) {
+	for _, p := range binomialTableProbs {
+		tbl := NewBinomialTable(p, binomialTableMaxN)
+		for n := 0; n <= binomialTableMaxN; n++ {
+			checkTableDraws(t, tbl, p, n, uint64(n)*1000+uint64(p*1e6), 64)
+		}
+	}
+}
+
+// TestBinomialTableWindows: each threshold is a word where geomSkip
+// reaches its skip, and every 53-bit word within ±2¹⁶ of it gets
+// geomSkip's own skip, both where that threshold ends the draw (r = j) and
+// where the scan below the last threshold meets it (r = j+1).
+func TestBinomialTableWindows(t *testing.T) {
+	const window = 1 << 16
+	for _, p := range []float64{0.01, 0.05, math.Nextafter(0.1, 0)} {
+		tbl := NewBinomialTable(p, binomialTableMaxN)
+		if tbl.thr == nil || tbl.maxN != binomialTableMax {
+			t.Fatalf("p=%v: table serves n ≤ %d, want %d on the geometric branch", p, tbl.maxN, binomialTableMax)
+		}
+		for j := 1; j <= tbl.maxN; j++ {
+			if geomSkip(tbl.thr[j]-1, tbl.logq) >= j || geomSkip(tbl.thr[j], tbl.logq) < j {
+				t.Fatalf("p=%v: geomSkip does not reach %d at threshold %d", p, j, tbl.thr[j])
+			}
+			for u := tbl.thr[j] - window; u <= tbl.thr[j]+window && u < 1<<53; u++ {
+				want := geomSkip(u, tbl.logq)
+				for _, r := range []int{j, min(j+1, tbl.maxN)} {
+					if got := tbl.skip(u, r); got != min(want, r) {
+						t.Fatalf("p=%v threshold %d word %d r=%d: skip %d, geomSkip %d", p, j, u, r, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestNewBinomialTableRejectsBadP(t *testing.T) {
+	for _, p := range []float64{math.NaN(), -0.1, 1.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBinomialTable(%v) did not panic", p)
+				}
+			}()
+			NewBinomialTable(p, 3)
+		}()
+	}
+}
+
+// FuzzBinomialTable: for any valid p and n, the table and Source.Binomial
+// draw the same values from the same words.
+func FuzzBinomialTable(f *testing.F) {
+	f.Add(uint64(1), 0.05, 3)
+	f.Add(uint64(2), 0.01, 40)
+	f.Add(uint64(3), 0.5, 3)
+	f.Add(uint64(4), 0.25, 300)
+	f.Add(uint64(5), 1e-12, 7)
+	f.Fuzz(func(t *testing.T, seed uint64, p float64, n int) {
+		if !(p >= 0 && p <= 1) {
+			return
+		}
+		checkTableDraws(t, NewBinomialTable(p, binomialTableMaxN), p, n%(2*binomialTableMaxN), seed, 16)
+	})
+}
+
+// BenchmarkBinomialFlips draws noise flips through Binomial and through
+// the table: Bin(3, 0.05), a Best-of-Three vertex at noise 0.05, and
+// Bin(32, 0.09), the costliest draw the table serves (its scan is longest
+// at its largest n and p).
+func BenchmarkBinomialFlips(b *testing.B) {
+	for _, c := range []struct {
+		n int
+		p float64
+	}{{3, 0.05}, {binomialTableMax, 0.09}} {
+		b.Run(fmt.Sprintf("n%d_p%v/Binomial", c.n, c.p), func(b *testing.B) {
+			s := New(1)
+			var sink int
+			for i := 0; i < b.N; i++ {
+				sink += s.Binomial(c.n, c.p)
+			}
+			_ = sink
+		})
+		b.Run(fmt.Sprintf("n%d_p%v/Table", c.n, c.p), func(b *testing.B) {
+			s := New(1)
+			tbl := NewBinomialTable(c.p, c.n)
+			var sink int
+			for i := 0; i < b.N; i++ {
+				sink += tbl.Sample(s, c.n)
+			}
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkNewBinomialTable builds the table of a rule with the largest k
+// (spec.MaxK) at noise 0.01: binomialTableMax thresholds. Every noisy
+// trial builds one.
+func BenchmarkNewBinomialTable(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		NewBinomialTable(0.01, binomialTableMaxN)
 	}
 }

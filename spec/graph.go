@@ -275,7 +275,7 @@ func init() {
 				if err := needN(s, l); err != nil {
 					return err
 				}
-				if s.P <= 0 || s.P > 1 {
+				if !(s.P > 0 && s.P <= 1) {
 					return fmt.Errorf("graph: gnp needs 0 < p <= 1, got %v", s.P)
 				}
 				return nil
@@ -298,7 +298,7 @@ func init() {
 				if err := needN(s, l); err != nil {
 					return err
 				}
-				if s.Alpha <= 0 || s.Alpha > 1 {
+				if !(s.Alpha > 0 && s.Alpha <= 1) {
 					return fmt.Errorf("graph: dense needs 0 < alpha <= 1, got %v", s.Alpha)
 				}
 				return nil
@@ -326,7 +326,7 @@ func init() {
 				if s.A > l.MaxN || s.B > l.MaxN || s.A+s.B > l.MaxN {
 					return fmt.Errorf("graph: sbm with a+b = %d vertices exceeds the limit %d", s.A+s.B, l.MaxN)
 				}
-				if s.PIn < 0 || s.PIn > 1 || s.POut < 0 || s.POut > 1 {
+				if !(s.PIn >= 0 && s.PIn <= 1 && s.POut >= 0 && s.POut <= 1) {
 					return fmt.Errorf("graph: sbm needs pin, pout in [0, 1], got pin = %v, pout = %v", s.PIn, s.POut)
 				}
 				if s.PIn == 0 && s.POut == 0 {

@@ -71,7 +71,7 @@ func (s *RunSpec) ValidateLimits(l Limits) error {
 	if trials < 0 || trials > l.MaxTrials {
 		return fmt.Errorf("trials = %d outside [1, %d]", trials, l.MaxTrials)
 	}
-	if s.Delta < 0 || s.Delta > 0.5 {
+	if !(s.Delta >= 0 && s.Delta <= 0.5) {
 		return fmt.Errorf("delta = %v outside [0, 0.5]", s.Delta)
 	}
 	if s.MaxRounds < 0 || s.MaxRounds > l.MaxRounds {

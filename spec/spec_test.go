@@ -221,6 +221,26 @@ func TestRunSpecValidate(t *testing.T) {
 	}
 }
 
+// TestRunSpecRejectsNaN sets each float field of a valid spec to NaN.
+// JSON cannot carry NaN, but the CLI flags and the Go API can, and a
+// range check of the form x < lo || x > hi lets NaN through.
+func TestRunSpecRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for name, s := range map[string]RunSpec{
+		"delta":         {Graph: GraphSpec{Family: "cycle", N: 8}, Delta: nan},
+		"noise":         {Graph: GraphSpec{Family: "cycle", N: 8}, Delta: 0.1, Rule: &RuleSpec{Noise: nan}},
+		"stubborn_frac": {Graph: GraphSpec{Family: "cycle", N: 8}, Delta: 0.1, Variant: &VariantSpec{Name: "stubborn", StubbornFrac: nan}},
+		"gnp p":         {Graph: GraphSpec{Family: "gnp", N: 64, P: nan, Seed: 1}, Delta: 0.1},
+		"dense alpha":   {Graph: GraphSpec{Family: "dense", N: 64, Alpha: nan, Seed: 1}, Delta: 0.1},
+		"sbm pin":       {Graph: GraphSpec{Family: "sbm", A: 8, B: 8, PIn: nan, POut: 0.5, Seed: 1}, Delta: 0.1},
+		"sbm pout":      {Graph: GraphSpec{Family: "sbm", A: 8, B: 8, PIn: 0.5, POut: nan, Seed: 1}, Delta: 0.1},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s = NaN validated", name)
+		}
+	}
+}
+
 // TestTrialSeedTree: trial seeds are the ChildSeed tree and differ across
 // trials and run seeds.
 func TestTrialSeedTree(t *testing.T) {

@@ -98,7 +98,7 @@ func init() {
 			if err := rejectStray(core.VariantStubborn, v, true, false); err != nil {
 				return err
 			}
-			if v.StubbornFrac <= 0 || v.StubbornFrac > 0.5 {
+			if !(v.StubbornFrac > 0 && v.StubbornFrac <= 0.5) {
 				return fmt.Errorf("variant: stubborn requires stubborn_frac in (0, 0.5], got %v", v.StubbornFrac)
 			}
 			return nil
