@@ -280,3 +280,25 @@ func BenchmarkEndToEndConsensus(b *testing.B) {
 		b.ReportMetric(rep.MeanRounds, "rounds")
 	}
 }
+
+// BenchmarkMeanFieldJob runs one mean-field job in the open-loop load's
+// shape (complete-virtual, n = 2¹⁴, δ = 0.1, 8 trials) on one worker.
+// Each trial's initial colouring draws n generator words, while each of
+// its rounds is two binomial draws, so the colouring is most of the cost.
+func BenchmarkMeanFieldJob(b *testing.B) {
+	gs := repro.GraphSpec{Family: "complete-virtual", N: 1 << 14}
+	g, err := gs.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := repro.NewRunner(repro.RunSpec{Graph: gs, Delta: 0.1, Trials: 8, Seed: uint64(i)}, repro.WithTopology(g), repro.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

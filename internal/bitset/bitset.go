@@ -254,7 +254,7 @@ func (s *Set) NextSet(i int) (int, bool) {
 	return 0, false
 }
 
-// Words exposes the underlying word slice for read-only bulk operations
-// such as SIMD-friendly counting in callers. Mutating the returned slice
-// breaks the Set's invariants.
+// Words exposes the underlying word slice for bulk operations such as
+// SIMD-friendly counting in callers. A caller that writes it must leave
+// the bits past Len zero, or Count and Equal break.
 func (s *Set) Words() []uint64 { return s.words }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -69,6 +70,19 @@ var (
 	}
 	goldenEngines = []string{"auto", "general"}
 	goldenSeeds   = []uint64{1, 2, 3}
+	// goldenDeltas pin the initial colouring's edge cases with the default
+	// rule, after the grid above. δ = 0 colours at pBlue = ½, the exact
+	// 2⁵² word threshold. δ = ½ colours at pBlue = 0, which draws no word:
+	// only the stubborn variant, whose zealot permutation reads the stream
+	// right after the colouring, can tell (sync and async start in
+	// consensus there).
+	goldenDeltas = []struct {
+		delta    float64
+		variants []string // goldenVariants labels
+	}{
+		{0, []string{"sync", "async", "stubborn0.1"}},
+		{0.5, []string{"stubborn0.1"}},
+	}
 )
 
 const (
@@ -81,42 +95,65 @@ const (
 func goldenLines(t *testing.T) []string {
 	t.Helper()
 	var lines []string
-	for _, gr := range goldenGraphs {
+	graphs := make([]core.Topology, len(goldenGraphs))
+	for i, gr := range goldenGraphs {
 		g, err := gr.spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
+		graphs[i] = g
 		for _, v := range goldenVariants {
 			for _, r := range goldenRules {
 				for _, e := range goldenEngines {
 					s := spec.RunSpec{Graph: gr.spec, Delta: goldenDelta, MaxRounds: goldenMaxRounds, Rule: r.rule, Engine: e, Variant: v.variant}
-					if s.Validate() != nil {
-						continue
-					}
-					rule, _ := s.DynamicsRule()
-					engine, _ := s.EngineMode()
-					for _, seed := range goldenSeeds {
-						rep, err := core.Run(context.Background(), g, s.Delta, core.Options{
-							Seed:      seed,
-							MaxRounds: s.MaxRounds,
-							Rule:      rule,
-							Engine:    engine,
-							Variant:   s.CoreVariant(),
-						})
-						if err != nil {
-							t.Fatalf("%s/%s/%s/%s: %v", gr.label, v.label, r.label, e, err)
-						}
-						traj := make([]string, len(rep.BlueTrajectory))
-						for i, b := range rep.BlueTrajectory {
-							traj[i] = strconv.Itoa(b)
-						}
-						lines = append(lines, fmt.Sprintf("%s/%s/%s/%s/s%d rounds=%d consensus=%t red_won=%t blues=%s",
-							gr.label, v.label, r.label, e, seed,
-							rep.Rounds, rep.Consensus, rep.RedWon, strings.Join(traj, ",")))
-					}
+					lines = append(lines, goldenCase(t, g, s, fmt.Sprintf("%s/%s/%s/%s", gr.label, v.label, r.label, e))...)
 				}
 			}
 		}
+	}
+	for _, d := range goldenDeltas {
+		for i, gr := range goldenGraphs {
+			for _, v := range goldenVariants {
+				if !slices.Contains(d.variants, v.label) {
+					continue
+				}
+				for _, e := range goldenEngines {
+					s := spec.RunSpec{Graph: gr.spec, Delta: d.delta, MaxRounds: goldenMaxRounds, Engine: e, Variant: v.variant}
+					lines = append(lines, goldenCase(t, graphs[i], s, fmt.Sprintf("%s/%s/k3/%s/d%v", gr.label, v.label, e, d.delta))...)
+				}
+			}
+		}
+	}
+	return lines
+}
+
+// goldenCase renders one line per seed for a spec, or none if the spec
+// registry rejects it.
+func goldenCase(t *testing.T, g core.Topology, s spec.RunSpec, label string) []string {
+	t.Helper()
+	if s.Validate() != nil {
+		return nil
+	}
+	rule, _ := s.DynamicsRule()
+	engine, _ := s.EngineMode()
+	var lines []string
+	for _, seed := range goldenSeeds {
+		rep, err := core.Run(context.Background(), g, s.Delta, core.Options{
+			Seed:      seed,
+			MaxRounds: s.MaxRounds,
+			Rule:      rule,
+			Engine:    engine,
+			Variant:   s.CoreVariant(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		traj := make([]string, len(rep.BlueTrajectory))
+		for i, b := range rep.BlueTrajectory {
+			traj[i] = strconv.Itoa(b)
+		}
+		lines = append(lines, fmt.Sprintf("%s/s%d rounds=%d consensus=%t red_won=%t blues=%s",
+			label, seed, rep.Rounds, rep.Consensus, rep.RedWon, strings.Join(traj, ",")))
 	}
 	return lines
 }

@@ -44,14 +44,12 @@ func NewConfig(n int) *Config {
 
 // RandomConfig returns a configuration where each vertex is independently
 // Blue with probability pBlue, otherwise Red — the paper's initial
-// condition with pBlue = 1/2 − δ.
+// condition with pBlue = 1/2 − δ. Vertex v is Blue iff the v-th of n
+// src.Bernoulli(pBlue) draws is true; rng.Source.FillBernoulli makes those
+// draws 64 at a time from exactly the same words.
 func RandomConfig(n int, pBlue float64, src *rng.Source) *Config {
 	c := NewConfig(n)
-	for v := 0; v < n; v++ {
-		if src.Bernoulli(pBlue) {
-			c.blue.Set(v)
-		}
-	}
+	src.FillBernoulli(c.blue.Words(), n, pBlue)
 	return c
 }
 

@@ -207,12 +207,18 @@ func TestQuickDominatesAntisymmetry(t *testing.T) {
 	}
 }
 
+var configSink *Config
+
+// BenchmarkRandomConfig draws the initial colouring of a mean-field job
+// in the open-loop load's shape: n = 2¹⁴ vertices at pBlue = 0.4.
 func BenchmarkRandomConfig(b *testing.B) {
+	const n = 1 << 14
 	src := rng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		RandomConfig(1<<15, 0.45, src)
+		configSink = RandomConfig(n, 0.4, src)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/vertex")
 }
 
 func BenchmarkBlues(b *testing.B) {

@@ -14,7 +14,10 @@
 // every experiment in the repository is exactly reproducible.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256** pseudo-random generator. The zero value is not a
 // valid generator; use New or NewFrom.
@@ -149,6 +152,58 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// FillBernoulli writes n successive Bernoulli(p) draws into dst as packed
+// bits: draw i is bit i%64 of dst[i/64], and the bits of the last word
+// past n are cleared. It draws exactly the words that n Bernoulli(p) calls
+// draw, in the same order, with the same outcomes: none for p ≤ 0 (all
+// zeros) or p ≥ 1 (all ones), and one word per draw otherwise. It panics
+// if n < 0 or len(dst) < ⌈n/64⌉.
+func (s *Source) FillBernoulli(dst []uint64, n int, p float64) {
+	if n < 0 {
+		panic("rng: FillBernoulli with n < 0")
+	}
+	dst = dst[:(n+63)/64]
+	switch {
+	case p <= 0:
+		clear(dst)
+		return
+	case p >= 1:
+		for i := range dst {
+			dst[i] = ^uint64(0)
+		}
+		if rem := uint(n) & 63; rem != 0 {
+			dst[len(dst)-1] = 1<<rem - 1
+		}
+		return
+	}
+	thr := bernoulliThreshold(p)
+	var buf [64]uint64
+	for wi := range dst {
+		block := buf[:min(64, n-64*wi)]
+		s.Fill(block)
+		var w uint64
+		for b, u := range block {
+			// The difference wraps, setting its top bit, iff u>>11 < thr:
+			// no branch for the near-½ draws to mispredict.
+			w |= (u>>11 - thr) >> 63 << (uint(b) & 63)
+		}
+		dst[wi] = w
+	}
+}
+
+// bernoulliThreshold returns the number of 53-bit words u53 with
+// float64(u53)/2⁵³ < p, for p < 1, so that Float64() < p ⇔ u>>11 < it.
+// It is ⌈p·2⁵³⌉: the word and its division by 2⁵³ are exact, so is the
+// power-of-two scale of p, and an integer lies below x iff it lies below
+// ⌈x⌉. A NaN p gets 0, as Float64() < NaN is false; converting it would
+// be implementation-defined.
+func bernoulliThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Perm returns a uniformly random permutation of [0, n) as a fresh slice.

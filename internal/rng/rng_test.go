@@ -179,6 +179,105 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
+// fillBernoulliReference is the per-draw loop FillBernoulli replaces: n
+// Bernoulli(p) calls, with bit i of dst set iff draw i is true.
+func fillBernoulliReference(s *Source, dst []uint64, n int, p float64) {
+	clear(dst)
+	for i := 0; i < n; i++ {
+		if s.Bernoulli(p) {
+			dst[i/64] |= 1 << (i % 64)
+		}
+	}
+}
+
+// checkFillBernoulli fills ⌈n/64⌉ words from two sources seeded alike,
+// through FillBernoulli into a dirty slice and through the reference loop:
+// every word must agree, the bits past n must come back clear, and both
+// sources must go on with the same next word.
+func checkFillBernoulli(t *testing.T, seed uint64, n int, p float64) {
+	t.Helper()
+	got := make([]uint64, (n+63)/64)
+	for i := range got {
+		got[i] = ^uint64(0)
+	}
+	want := make([]uint64, len(got))
+	a, b := New(seed), New(seed)
+	a.FillBernoulli(got, n, p)
+	fillBernoulliReference(b, want, n, p)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed=%d n=%d p=%v: word %d = %#x, Bernoulli loop %#x", seed, n, p, i, got[i], want[i])
+		}
+	}
+	if rem := n % 64; rem != 0 && got[len(got)-1]>>rem != 0 {
+		t.Fatalf("seed=%d n=%d p=%v: bits past n set in %#x", seed, n, p, got[len(got)-1])
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatalf("seed=%d n=%d p=%v: FillBernoulli consumed a different number of words", seed, n, p)
+	}
+}
+
+// TestFillBernoulliMatchesBernoulli: the packed kernel equals n Bernoulli
+// calls word for word, at both early returns (p ≤ 0 and p ≥ 1 draw
+// nothing), at NaN (draws n words, all false), at the smallest
+// thresholds, at ½ (the exact 2⁵² threshold) and the floats just below ½
+// and 1, and at every word boundary of n.
+func TestFillBernoulliMatchesBernoulli(t *testing.T) {
+	probs := []float64{0, 5e-324, 1e-300, 1e-9, 0.05, 0.4, 0.45, 0.5, math.Nextafter(0.5, 0), 0.7,
+		math.Nextafter(1, 0), 1, 1.5, -0.1, math.NaN()}
+	for _, p := range probs {
+		for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000, 4097} {
+			for _, seed := range []uint64{1, 2, 3} {
+				checkFillBernoulli(t, seed, n, p)
+			}
+		}
+	}
+}
+
+// TestBernoulliThreshold: Float64() < p holds for exactly the 53-bit
+// words below the threshold, checked at the words around it, for p on and
+// off the 2⁻⁵³ grid, subnormal p and NaN.
+func TestBernoulliThreshold(t *testing.T) {
+	probs := []float64{5e-324, 1e-300, 0x1p-53, 0x3p-53, 1e-9, 0.05, 0.4, 0.5, math.Nextafter(0.5, 0),
+		math.Nextafter(0.5, 1), 0.7, math.Nextafter(1, 0), -0.1, math.NaN()}
+	s := New(9)
+	for i := 0; i < 1000; i++ {
+		u := s.Float64()
+		probs = append(probs, u, u*1e-12, float64(s.Uint64()>>11)/(1<<53))
+	}
+	for _, p := range probs {
+		thr := bernoulliThreshold(p)
+		for u := thr - min(thr, 2); u <= thr+1 && u < 1<<53; u++ {
+			if got, want := u < thr, float64(u)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v threshold %d: word %d below it = %t, Float64() < p = %t", p, thr, u, got, want)
+			}
+		}
+	}
+}
+
+func TestFillBernoulliPanicsOnNegativeN(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("FillBernoulli(n = -1) did not panic")
+		}
+	}()
+	New(1).FillBernoulli(nil, -1, 0.5)
+}
+
+// FuzzFillBernoulli: for any seed, n and p, FillBernoulli and the
+// Bernoulli loop draw the same bits from the same words.
+func FuzzFillBernoulli(f *testing.F) {
+	f.Add(uint64(1), 100, 0.45)
+	f.Add(uint64(2), 4097, 0.5)
+	f.Add(uint64(3), 65, math.Nextafter(1, 0))
+	f.Add(uint64(4), 1, 5e-324)
+	f.Add(uint64(5), 64, math.NaN())
+	f.Add(uint64(6), 3, -0.1)
+	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64) {
+		checkFillBernoulli(t, seed, int(uint(n)%5000), p)
+	})
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	s := New(9)
 	for _, n := range []int{0, 1, 2, 5, 100} {

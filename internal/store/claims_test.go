@@ -1,8 +1,12 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +124,64 @@ func TestClaimSurvivesReopenAndCompact(t *testing.T) {
 	}
 	if _, err := r.Claim("cell", "w2", ttl); !errors.Is(err, ErrClaimHeld) {
 		t.Fatalf("lease not enforced across reopen: %v", err)
+	}
+}
+
+// writeSegment writes recs, each with a valid checksum and its own Seq,
+// as the directory's only segment: hostile but CRC-valid input.
+func writeSegment(t *testing.T, dir string, recs ...Record) {
+	t.Helper()
+	var raw []byte
+	for _, rec := range recs {
+		rec.Sum = checksum(rec.Kind, rec.Key, rec.Spec, rec.Body)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(append(raw, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.jsonl"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMaxSeqRecordIsCorrupt: seq lies outside the record checksum, so a
+// CRC-valid record can carry seq 2⁶⁴−1, which the allocator never hands
+// out. Indexing it would wrap the sequence to 0 and grant fence 0 again;
+// it must count as corrupt, leaving the sequence after the last good
+// record.
+func TestMaxSeqRecordIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	writeSegment(t, dir,
+		Record{Seq: 5, Kind: KindResult, Key: key(0), Spec: specJSON(0), Body: bodyJSON(0)},
+		Record{Seq: math.MaxUint64, Kind: KindResult, Key: key(1), Spec: specJSON(1), Body: bodyJSON(1)})
+	s := mustOpen(t, dir, Options{})
+	if st := s.Stats(); st.Results != 1 || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v, want 1 result, 1 corrupt", st)
+	}
+	fence, err := s.Claim("cell", "w1", ttl)
+	if err != nil || fence != 6 {
+		t.Fatalf("claim after the seq-5 record: fence %d, err %v; want fence 6", fence, err)
+	}
+}
+
+// TestSeqNeverWraps: after a record with seq 2⁶⁴−2 the store has no
+// sequence number left to hand out, so the next append fails instead of
+// granting fence 2⁶⁴−1 and then fence 0.
+func TestSeqNeverWraps(t *testing.T) {
+	dir := t.TempDir()
+	writeSegment(t, dir, Record{Seq: math.MaxUint64 - 1, Kind: KindResult, Key: key(0), Spec: specJSON(0), Body: bodyJSON(0)})
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < 2; i++ {
+		if fence, err := s.Claim("cell", "w1", ttl); err == nil {
+			t.Fatalf("claim %d granted fence %d past the last sequence number", i, fence)
+		}
+	}
+	if ok, err := s.PutResult(key(1), specJSON(1), bodyJSON(1)); ok || err == nil {
+		t.Fatalf("put past the last sequence number: ok=%v err=%v", ok, err)
+	}
+	if st := s.Stats(); st.Results != 1 || st.Claims != 0 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want the one result and nothing else", st)
 	}
 }
 

@@ -26,7 +26,8 @@
 // # Recovery
 //
 // Open replays every segment in order. A line that fails to parse or
-// checksum is skipped (counted in Stats.Corrupt); a truncated tail —
+// checksum, or carries seq 2⁶⁴−1 (which the allocator never hands out), is
+// skipped (counted in Stats.Corrupt); a truncated tail —
 // the signature of a crash mid-append — additionally truncates the active
 // segment back to its last complete record so subsequent appends start on
 // a clean boundary. Every complete record therefore survives any
@@ -81,6 +82,7 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -137,9 +139,11 @@ func checksum(kind, key string, spec, body []byte) uint32 {
 	return h.Sum32()
 }
 
+// valid also refuses seq noSeq, which Sum does not cover: indexing it
+// would wrap the sequence.
 func (r Record) valid() bool {
 	return (r.Kind == KindResult || r.Kind == KindSweep || r.Kind == KindClaim) &&
-		r.Key != "" &&
+		r.Key != "" && r.Seq != noSeq &&
 		r.Sum == checksum(r.Kind, r.Key, r.Spec, r.Body)
 }
 
@@ -184,6 +188,16 @@ var ErrReadOnly = errors.New("store: opened read-only")
 
 // ErrShared rejects segment-deleting operations on a shared store.
 var ErrShared = errors.New("store: operation unsupported in shared mode")
+
+// errSeqExhausted fails an append once every sequence number below noSeq
+// has been handed out.
+var errSeqExhausted = errors.New("store: record sequence exhausted")
+
+// noSeq is the one sequence number the allocator never hands out: the next
+// one would wrap to 0, and a claim's fence is its grant's sequence number,
+// which must never be granted twice (claims.go). A record carrying it is
+// corrupt.
+const noSeq = math.MaxUint64
 
 const defaultSegmentBytes = 8 << 20
 
@@ -690,6 +704,9 @@ func (s *Store) rescanTailLocked() error {
 // prunes; callers hold s.mu and, in shared mode, are inside a
 // beginMutationLocked critical section. Returns the record's location.
 func (s *Store) appendLocked(rec *Record) (loc, error) {
+	if s.seq == noSeq {
+		return loc{}, errSeqExhausted
+	}
 	rec.Seq = s.seq
 	s.seq++
 	l, err := s.writeLocked(rec)
