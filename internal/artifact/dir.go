@@ -65,9 +65,6 @@ func OpenDir(root string, maxBytes int64) (*Dir, error) {
 	return d, nil
 }
 
-// Root returns the directory path.
-func (d *Dir) Root() string { return d.root }
-
 // Path returns the file path an artifact for key lives at (whether or
 // not it exists): root/sha256(key).bo3g.
 func (d *Dir) Path(key string) string {

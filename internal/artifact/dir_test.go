@@ -274,3 +274,6 @@ func TestDirVersionMismatchKept(t *testing.T) {
 		t.Fatalf("Len = %d, want 1 (file kept for upgraded peers)", d.Len())
 	}
 }
+
+// Root returns the directory path.
+func (d *Dir) Root() string { return d.root }

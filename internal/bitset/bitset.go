@@ -69,19 +69,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// None reports whether no bit is set.
-func (s *Set) None() bool { return !s.Any() }
-
 // All reports whether every bit is set. An empty set vacuously satisfies All.
 func (s *Set) All() bool { return s.Count() == s.n }
 
@@ -153,15 +140,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// CopyFrom overwrites s with the contents of src. Both sets must have the
-// same length; CopyFrom panics otherwise.
-func (s *Set) CopyFrom(src *Set) {
-	if s.n != src.n {
-		panic("bitset: CopyFrom length mismatch")
-	}
-	copy(s.words, src.words)
-}
-
 // Equal reports whether s and o contain exactly the same bits. Sets of
 // different lengths are never equal.
 func (s *Set) Equal(o *Set) bool {
@@ -186,26 +164,6 @@ func (s *Set) UnionWith(o *Set) {
 	}
 }
 
-// IntersectWith sets s to s ∩ o. Lengths must match.
-func (s *Set) IntersectWith(o *Set) {
-	if s.n != o.n {
-		panic("bitset: IntersectWith length mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// DifferenceWith sets s to s \ o. Lengths must match.
-func (s *Set) DifferenceWith(o *Set) {
-	if s.n != o.n {
-		panic("bitset: DifferenceWith length mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
 // FlipAll inverts every bit.
 func (s *Set) FlipAll() {
 	for i := range s.words {
@@ -223,35 +181,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Ones returns the indices of all set bits in increasing order.
-func (s *Set) Ones() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// NextSet returns the index of the first set bit at or after i, and whether
-// one exists.
-func (s *Set) NextSet(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return 0, false
-	}
-	wi := i >> 6
-	w := s.words[wi] >> (uint(i) & 63)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w), true
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*64 + bits.TrailingZeros64(s.words[wi]), true
-		}
-	}
-	return 0, false
 }
 
 // Words exposes the underlying word slice for bulk operations such as

@@ -14,12 +14,6 @@ func TestNewEmpty(t *testing.T) {
 		if s.Count() != 0 {
 			t.Fatalf("New(%d).Count() = %d", n, s.Count())
 		}
-		if s.Any() {
-			t.Fatalf("New(%d).Any() = true", n)
-		}
-		if !s.None() {
-			t.Fatalf("New(%d).None() = false", n)
-		}
 	}
 }
 
@@ -125,8 +119,8 @@ func TestReset(t *testing.T) {
 	s := New(100)
 	s.Fill()
 	s.Reset()
-	if s.Any() {
-		t.Error("Reset left bits set")
+	if got := s.Count(); got != 0 {
+		t.Errorf("Reset left %d bits set", got)
 	}
 }
 
@@ -141,23 +135,6 @@ func TestCloneIndependent(t *testing.T) {
 	if s.Get(6) {
 		t.Error("mutating clone changed original")
 	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a, b := New(100), New(100)
-	a.Set(3)
-	a.Set(99)
-	b.CopyFrom(a)
-	if !b.Equal(a) {
-		t.Error("CopyFrom did not copy")
-	}
-	mismatch := New(50)
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyFrom length mismatch did not panic")
-		}
-	}()
-	b.CopyFrom(mismatch)
 }
 
 func TestEqualDifferentLengths(t *testing.T) {
@@ -175,39 +152,19 @@ func TestSetOps(t *testing.T) {
 
 	u := a.Clone()
 	u.UnionWith(b)
-	if got := u.Ones(); len(got) != 3 || got[0] != 1 || got[1] != 64 || got[2] != 100 {
-		t.Errorf("union = %v", got)
-	}
-
-	i := a.Clone()
-	i.IntersectWith(b)
-	if got := i.Ones(); len(got) != 1 || got[0] != 64 {
-		t.Errorf("intersection = %v", got)
-	}
-
-	d := a.Clone()
-	d.DifferenceWith(b)
-	if got := d.Ones(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("difference = %v", got)
+	if u.Count() != 3 || !u.Get(1) || !u.Get(64) || !u.Get(100) {
+		t.Errorf("union has %d bits, want {1, 64, 100}", u.Count())
 	}
 }
 
 func TestSetOpsLengthMismatchPanics(t *testing.T) {
 	a, b := New(10), New(20)
-	for name, fn := range map[string]func(){
-		"UnionWith":      func() { a.UnionWith(b) },
-		"IntersectWith":  func() { a.IntersectWith(b) },
-		"DifferenceWith": func() { a.DifferenceWith(b) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s length mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("UnionWith length mismatch did not panic")
+		}
+	}()
+	a.UnionWith(b)
 }
 
 func TestForEachOrder(t *testing.T) {
@@ -224,29 +181,6 @@ func TestForEachOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("ForEach visited %v, want %v", got, want)
-		}
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	s := New(300)
-	s.Set(5)
-	s.Set(64)
-	s.Set(250)
-
-	cases := []struct {
-		from   int
-		want   int
-		wantOK bool
-	}{
-		{0, 5, true}, {5, 5, true}, {6, 64, true}, {64, 64, true},
-		{65, 250, true}, {250, 250, true}, {251, 0, false}, {-3, 5, true},
-		{300, 0, false}, {10000, 0, false},
-	}
-	for _, c := range cases {
-		got, ok := s.NextSet(c.from)
-		if ok != c.wantOK || (ok && got != c.want) {
-			t.Errorf("NextSet(%d) = (%d, %v), want (%d, %v)", c.from, got, ok, c.want, c.wantOK)
 		}
 	}
 }
@@ -287,11 +221,15 @@ func TestQuickInclusionExclusion(t *testing.T) {
 		for _, i := range bi {
 			b.Set(int(i))
 		}
-		inter := a.Clone()
-		inter.IntersectWith(b)
+		inter := 0
+		for i := 0; i < 256; i++ {
+			if a.Get(i) && b.Get(i) {
+				inter++
+			}
+		}
 		union := a.Clone()
 		union.UnionWith(b)
-		return union.Count() == a.Count()+b.Count()-inter.Count()
+		return union.Count() == a.Count()+b.Count()-inter
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

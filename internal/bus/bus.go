@@ -113,12 +113,6 @@ func topicClass(name string) string {
 	return name
 }
 
-// New returns an empty bus instrumented against a private registry (the
-// counters still drive Stats; they are just not exported anywhere).
-func New() *Bus {
-	return NewInstrumented(NewMetrics(metrics.NewRegistry()))
-}
-
 // NewInstrumented returns an empty bus counting into m's instruments.
 func NewInstrumented(m *Metrics) *Bus {
 	return &Bus{topics: make(map[string]*topic), mx: m}

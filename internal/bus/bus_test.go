@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // drain pops everything currently buffered.
@@ -430,3 +432,12 @@ func TestDecimatorBudget(t *testing.T) {
 		t.Errorf("decimated run emitted only %d frames — stride overshoots the budget", kept)
 	}
 }
+
+// New returns an empty bus instrumented against a private registry (the
+// counters still drive Stats; they are just not exported anywhere).
+func New() *Bus {
+	return NewInstrumented(NewMetrics(metrics.NewRegistry()))
+}
+
+// Stride exposes the resolved stride (for tests and progress banners).
+func (d *Decimator) Stride() int { return d.stride }

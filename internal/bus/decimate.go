@@ -51,8 +51,5 @@ func NewDecimator(roundBudget, trials, frames int) *Decimator {
 	return &Decimator{stride: stride}
 }
 
-// Stride exposes the resolved stride (for tests and progress banners).
-func (d *Decimator) Stride() int { return d.stride }
-
 // Keep reports whether the frame for this round should be emitted.
 func (d *Decimator) Keep(round int) bool { return round%d.stride == 0 }

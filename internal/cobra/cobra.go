@@ -59,9 +59,6 @@ func New(g Topology, k int, starts []int, src *rng.Source) *Walk {
 	return w
 }
 
-// K returns the branching factor.
-func (w *Walk) K() int { return w.k }
-
 // Step performs one branch-move-coalesce round and returns the new number
 // of occupied vertices.
 func (w *Walk) Step() int {
@@ -81,17 +78,8 @@ func (w *Walk) Step() int {
 	return w.occupied.Count()
 }
 
-// StepCount returns the number of completed steps.
-func (w *Walk) StepCount() int { return w.step }
-
 // Occupied returns the number of occupied vertices.
 func (w *Walk) Occupied() int { return w.occupied.Count() }
-
-// OccupiedSet returns a copy of the occupied vertex set.
-func (w *Walk) OccupiedSet() []int { return w.occupied.Ones() }
-
-// IsOccupied reports whether vertex v currently carries a particle.
-func (w *Walk) IsOccupied(v int) bool { return w.occupied.Get(v) }
 
 // Trajectory runs the walk for steps rounds and returns the occupancy
 // counts after each round, starting with the initial count (index 0).

@@ -52,11 +52,6 @@ func NewAsync(g Topology, rule Rule, init *opinion.Config, seed uint64) (*AsyncP
 	return a, nil
 }
 
-// Config returns the current configuration. The returned value aliases
-// live process state — do not mutate it — and is updated in place by the
-// next Tick; Clone it to keep a snapshot.
-func (a *AsyncProcess) Config() *opinion.Config { return a.cfg }
-
 // Round returns the number of completed sweeps.
 func (a *AsyncProcess) Round() int { return a.sweeps }
 

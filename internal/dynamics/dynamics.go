@@ -322,9 +322,6 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 	return p, nil
 }
 
-// Rule returns the protocol being simulated.
-func (p *Process) Rule() Rule { return p.rule }
-
 // Round returns the number of completed rounds.
 func (p *Process) Round() int { return p.round }
 

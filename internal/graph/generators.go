@@ -21,21 +21,6 @@ func Complete(n int) *Graph {
 	return b.Build()
 }
 
-// CompleteBipartite returns K_{a,b} with parts {0..a-1} and {a..a+b-1}.
-// Best-of-k does not converge on bipartite graphs under some initial
-// conditions (parity oscillation), which makes K_{a,b} a useful negative
-// control.
-func CompleteBipartite(a, b int) *Graph {
-	bld := NewBuilder(a + b)
-	bld.SetName(fmt.Sprintf("bipartite(a=%d,b=%d)", a, b))
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			bld.AddEdge(u, v)
-		}
-	}
-	return bld.Build()
-}
-
 // Cycle returns the n-cycle (n >= 3), the canonical constant-degree sparse
 // graph: Theorem 1's density requirement fails here, so consensus slows to
 // polynomial time.
@@ -47,32 +32,6 @@ func Cycle(n int) *Graph {
 	b.SetName(fmt.Sprintf("cycle(n=%d)", n))
 	for v := 0; v < n; v++ {
 		b.AddEdge(v, (v+1)%n)
-	}
-	return b.Build()
-}
-
-// Path returns the path graph on n vertices (n >= 2).
-func Path(n int) *Graph {
-	if n < 2 {
-		panic("graph: Path requires n >= 2")
-	}
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("path(n=%d)", n))
-	for v := 0; v+1 < n; v++ {
-		b.AddEdge(v, v+1)
-	}
-	return b.Build()
-}
-
-// Star returns the star K_{1,n-1} with centre 0.
-func Star(n int) *Graph {
-	if n < 2 {
-		panic("graph: Star requires n >= 2")
-	}
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("star(n=%d)", n))
-	for v := 1; v < n; v++ {
-		b.AddEdge(0, v)
 	}
 	return b.Build()
 }
@@ -90,27 +49,6 @@ func Torus2D(rows, cols int) *Graph {
 		for c := 0; c < cols; c++ {
 			b.AddEdge(id(r, c), id((r+1)%rows, c))
 			b.AddEdge(id(r, c), id(r, (c+1)%cols))
-		}
-	}
-	return b.Build()
-}
-
-// Grid2D returns the rows×cols grid without wrap-around.
-func Grid2D(rows, cols int) *Graph {
-	if rows < 1 || cols < 1 {
-		panic("graph: Grid2D requires positive dimensions")
-	}
-	b := NewBuilder(rows * cols)
-	b.SetName(fmt.Sprintf("grid(%dx%d)", rows, cols))
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if r+1 < rows {
-				b.AddEdge(id(r, c), id(r+1, c))
-			}
-			if c+1 < cols {
-				b.AddEdge(id(r, c), id(r, c+1))
-			}
 		}
 	}
 	return b.Build()
@@ -134,24 +72,6 @@ func Hypercube(dim int) *Graph {
 			}
 		}
 	}
-	return b.Build()
-}
-
-// Barbell returns two disjoint K_k cliques joined by a single bridge edge:
-// a bottleneck graph on which majority information mixes slowly.
-func Barbell(k int) *Graph {
-	if k < 2 {
-		panic("graph: Barbell requires k >= 2")
-	}
-	b := NewBuilder(2 * k)
-	b.SetName(fmt.Sprintf("barbell(k=%d)", k))
-	for u := 0; u < k; u++ {
-		for v := u + 1; v < k; v++ {
-			b.AddEdge(u, v)
-			b.AddEdge(k+u, k+v)
-		}
-	}
-	b.AddEdge(k-1, k)
 	return b.Build()
 }
 
@@ -192,34 +112,6 @@ func Gnp(n int, p float64, src *rng.Source) *Graph {
 			break
 		}
 		u, v := slotToEdge(s)
-		b.AddEdge(u, v)
-	}
-	return b.Build()
-}
-
-// Gnm returns a uniform random graph with exactly m distinct edges.
-func Gnm(n, m int, src *rng.Source) *Graph {
-	maxM := int64(n) * int64(n-1) / 2
-	if int64(m) > maxM || m < 0 {
-		panic(fmt.Sprintf("graph: Gnm(n=%d) cannot place %d edges", n, m))
-	}
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("gnm(n=%d,m=%d)", n, m))
-	seen := make(map[int64]bool, m)
-	for len(seen) < m {
-		u := src.Intn(n)
-		v := src.Intn(n)
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := int64(u)*int64(n) + int64(v)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		b.AddEdge(u, v)
 	}
 	return b.Build()
@@ -421,39 +313,6 @@ func SBM(a, b int, pin, pout float64, src *rng.Source) *Graph {
 	return bld.Build()
 }
 
-// ChungLu returns a Chung–Lu random graph with expected degree sequence
-// w[i]: edge {u,v} appears independently with probability
-// min(1, w_u·w_v / Σw). This produces graphs with a prescribed degree
-// profile, the setting of Abdullah–Draief [1] that the paper compares
-// against.
-func ChungLu(weights []float64, src *rng.Source) *Graph {
-	n := len(weights)
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("graph: ChungLu requires non-negative weights")
-		}
-		total += w
-	}
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("chunglu(n=%d)", n))
-	if total == 0 {
-		return b.Build()
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			p := weights[u] * weights[v] / total
-			if p > 1 {
-				p = 1
-			}
-			if src.Bernoulli(p) {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // WattsStrogatz returns a small-world graph: a ring lattice where every
 // vertex connects to its k nearest neighbours on each side, with each
 // lattice edge independently rewired to a uniform random endpoint with
@@ -507,61 +366,6 @@ func WattsStrogatz(n, k int, beta float64, src *rng.Source) *Graph {
 	b.SetName(fmt.Sprintf("wattsstrogatz(n=%d,k=%d,beta=%.3g)", n, k, beta))
 	for _, e := range edges {
 		b.AddEdge(int(e[0]), int(e[1]))
-	}
-	return b.Build()
-}
-
-// PowerLawWeights returns n Chung–Lu weights following a power law with
-// exponent gamma, scaled so the minimum weight is wmin.
-func PowerLawWeights(n int, gamma, wmin float64) []float64 {
-	if gamma <= 1 {
-		panic("graph: PowerLawWeights requires gamma > 1")
-	}
-	w := make([]float64, n)
-	for i := range w {
-		// Inverse-CDF of a Pareto distribution evaluated on a regular grid
-		// gives a deterministic, reproducible weight profile.
-		u := (float64(i) + 0.5) / float64(n)
-		w[i] = wmin * math.Pow(u, -1/(gamma-1))
-	}
-	return w
-}
-
-// BinaryTree returns the complete binary tree of the given depth (depth 0
-// is a single vertex). Vertex 0 is the root; vertex v has children 2v+1
-// and 2v+2. Trees have no cycles and constant average degree, making them
-// a worst-case-style sparse control for the dynamics experiments.
-func BinaryTree(depth int) *Graph {
-	if depth < 0 || depth > 30 {
-		panic("graph: BinaryTree requires 0 <= depth <= 30")
-	}
-	n := 1<<(depth+1) - 1
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("binarytree(depth=%d)", depth))
-	for v := 0; 2*v+2 < n; v++ {
-		b.AddEdge(v, 2*v+1)
-		b.AddEdge(v, 2*v+2)
-	}
-	return b.Build()
-}
-
-// Lollipop returns the lollipop graph: a clique K_k joined to a path of
-// pathLen vertices. The classic worst case for random-walk hitting times;
-// here it serves as a conductance-bottleneck control.
-func Lollipop(k, pathLen int) *Graph {
-	if k < 2 || pathLen < 1 {
-		panic("graph: Lollipop requires k >= 2 and pathLen >= 1")
-	}
-	n := k + pathLen
-	b := NewBuilder(n)
-	b.SetName(fmt.Sprintf("lollipop(k=%d,path=%d)", k, pathLen))
-	for u := 0; u < k; u++ {
-		for v := u + 1; v < k; v++ {
-			b.AddEdge(u, v)
-		}
-	}
-	for v := k - 1; v+1 < n; v++ {
-		b.AddEdge(v, v+1)
 	}
 	return b.Build()
 }

@@ -1,10 +1,11 @@
 // Package graph provides the graph substrate for the voting-dynamics
 // simulators: an immutable compressed-sparse-row (CSR) adjacency
-// representation, a mutable builder, a library of generators covering the
-// graph families discussed in the paper (dense minimum-degree families,
-// random regular graphs, Erdős–Rényi graphs, the complete graph, sparse
-// baselines), and structural analyses (connectivity, bipartiteness, degree
-// statistics, a spectral-gap estimate).
+// representation, a mutable builder, generators for the graph families the
+// experiments run (dense minimum-degree graphs, random regular graphs,
+// Erdős–Rényi and two-block stochastic block models, the complete graph,
+// and the cycle, torus, hypercube and small-world baselines), and
+// structural analyses (BFS distances, connectivity, minimum degree and the
+// density exponent, a spectral-gap estimate).
 //
 // The CSR layout stores all adjacency lists in one contiguous int32 slice,
 // which is what makes the dynamics hot loop — "pick a uniform random
@@ -96,35 +97,6 @@ func (g *Graph) MinDegree() int {
 	return min
 }
 
-// MaxDegree returns the maximum degree, or 0 for an empty graph.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// AvgDegree returns the average degree 2M/N, or 0 for an empty graph.
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 2 * float64(g.M()) / float64(g.N())
-}
-
-// DegreeHistogram returns a map from degree to the number of vertices with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // DensityExponent returns α such that MinDegree = N^α, the paper's density
 // parameter. It returns 0 for graphs with fewer than 2 vertices or with an
 // isolated vertex.
@@ -134,15 +106,6 @@ func (g *Graph) DensityExponent() float64 {
 		return 0
 	}
 	return math.Log(float64(d)) / math.Log(float64(n))
-}
-
-// Degrees returns a fresh slice of all vertex degrees.
-func (g *Graph) Degrees() []int {
-	out := make([]int, g.N())
-	for v := range out {
-		out[v] = g.Degree(v)
-	}
-	return out
 }
 
 // CSR exposes the raw compressed-sparse-row arrays: offsets (length N()+1)

@@ -19,9 +19,6 @@ func NewKn(n int) Kn {
 // N returns the number of vertices.
 func (k Kn) N() int { return int(k) }
 
-// M returns the number of edges n(n-1)/2.
-func (k Kn) M() int { return int(k) * (int(k) - 1) / 2 }
-
 // Degree returns n-1 for every vertex.
 func (k Kn) Degree(v int) int { return int(k) - 1 }
 

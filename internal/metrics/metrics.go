@@ -217,12 +217,6 @@ type Gauge struct{ s *series }
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.s.val.Store(v) }
 
-// Add moves the value by delta (negative allowed).
-func (g *Gauge) Add(delta int64) { g.s.val.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.s.val.Load() }
-
 // Gauge returns the unlabeled gauge with this name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{r.family(name, help, kindGauge, nil, nil).child(nil)}
@@ -280,12 +274,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveSince records the seconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
-
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.sumBits.Load()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.s.count.Load() }
 
 // Histogram returns the unlabeled histogram with this name. buckets are
 // the upper bounds in ascending order, +Inf implicit; nil = DefBuckets.

@@ -294,3 +294,15 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		}
 	})
 }
+
+// Add moves the value by delta (negative allowed).
+func (g *Gauge) Add(delta int64) { g.s.val.Add(delta) }
+
+// Value returns the current value.
+func (g *Gauge) Value() int64 { return g.s.val.Load() }
+
+// Sum returns the exact sum of all observations.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.s.sumBits.Load()) }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.s.count.Load() }

@@ -72,9 +72,6 @@ func (c *Config) Set(v int, col Colour) {
 // Blues returns the number of Blue vertices.
 func (c *Config) Blues() int { return c.blue.Count() }
 
-// Reds returns the number of Red vertices.
-func (c *Config) Reds() int { return c.N() - c.Blues() }
-
 // BlueFraction returns Blues/N, or 0 for an empty configuration.
 func (c *Config) BlueFraction() float64 {
 	if c.N() == 0 {
@@ -82,10 +79,6 @@ func (c *Config) BlueFraction() float64 {
 	}
 	return float64(c.Blues()) / float64(c.N())
 }
-
-// Delta returns the paper's imbalance parameter δ = 1/2 − (blue fraction).
-// Positive δ means Red leads.
-func (c *Config) Delta() float64 { return 0.5 - c.BlueFraction() }
 
 // Majority returns the majority colour; ties go to Red, matching the
 // paper's convention that Red is the (weak) majority at δ = 0.
@@ -113,14 +106,8 @@ func (c *Config) IsConsensus() (Colour, bool) {
 // Clone returns a deep copy.
 func (c *Config) Clone() *Config { return &Config{blue: c.blue.Clone()} }
 
-// CopyFrom overwrites c with src. Sizes must match.
-func (c *Config) CopyFrom(src *Config) { c.blue.CopyFrom(src.blue) }
-
 // Equal reports whether two configurations agree on every vertex.
 func (c *Config) Equal(o *Config) bool { return c.blue.Equal(o.blue) }
-
-// FillRed sets every vertex to Red.
-func (c *Config) FillRed() { c.blue.Reset() }
 
 // FillBlue sets every vertex to Blue.
 func (c *Config) FillBlue() { c.blue.Fill() }
@@ -133,19 +120,6 @@ func (c *Config) SetBluePrefix(b int) { c.blue.SetFirstN(b) }
 
 // BlueSet exposes the underlying Blue bitset (read-only use).
 func (c *Config) BlueSet() *bitset.Set { return c.blue }
-
-// Dominates reports whether c is vertex-wise ≥ o in the Blue-as-1 order:
-// every Blue vertex of o is also Blue in c. This is the coupling order used
-// by the Sprinkling majorisation argument (X ≤ X′).
-func (c *Config) Dominates(o *Config) bool {
-	if c.N() != o.N() {
-		return false
-	}
-	// o \ c must be empty.
-	diff := o.blue.Clone()
-	diff.DifferenceWith(c.blue)
-	return diff.None()
-}
 
 // String renders small configurations as a string of R/B runes; larger ones
 // as a count summary.

@@ -16,8 +16,8 @@ func TestColourString(t *testing.T) {
 
 func TestNewConfigAllRed(t *testing.T) {
 	c := NewConfig(100)
-	if c.N() != 100 || c.Blues() != 0 || c.Reds() != 100 {
-		t.Errorf("fresh config: N=%d B=%d R=%d", c.N(), c.Blues(), c.Reds())
+	if c.N() != 100 || c.Blues() != 0 {
+		t.Errorf("fresh config: N=%d B=%d", c.N(), c.Blues())
 	}
 	col, ok := c.IsConsensus()
 	if !ok || col != Red {
@@ -42,14 +42,11 @@ func TestCountsAndFraction(t *testing.T) {
 	for _, v := range []int{0, 1, 2} {
 		c.Set(v, Blue)
 	}
-	if c.Blues() != 3 || c.Reds() != 5 {
-		t.Errorf("B=%d R=%d", c.Blues(), c.Reds())
+	if c.Blues() != 3 {
+		t.Errorf("B=%d", c.Blues())
 	}
 	if got := c.BlueFraction(); got != 3.0/8 {
 		t.Errorf("BlueFraction = %v", got)
-	}
-	if got := c.Delta(); math.Abs(got-(0.5-3.0/8)) > 1e-15 {
-		t.Errorf("Delta = %v", got)
 	}
 }
 
@@ -95,10 +92,6 @@ func TestIsConsensus(t *testing.T) {
 	if col, ok := c.IsConsensus(); !ok || col != Blue {
 		t.Error("all-blue not blue consensus")
 	}
-	c.FillRed()
-	if col, ok := c.IsConsensus(); !ok || col != Red {
-		t.Error("FillRed not red consensus")
-	}
 }
 
 func TestRandomConfigFrequency(t *testing.T) {
@@ -127,35 +120,6 @@ func TestCloneCopyEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("diverged configs reported equal")
 	}
-	c := NewConfig(200)
-	c.CopyFrom(b)
-	if !c.Equal(b) {
-		t.Error("CopyFrom mismatch")
-	}
-}
-
-func TestDominates(t *testing.T) {
-	a := NewConfig(6)
-	b := NewConfig(6)
-	b.Set(2, Blue)
-	// a (all red) does not dominate b (one blue): blue=1 order.
-	if a.Dominates(b) {
-		t.Error("all-red should not dominate a config with blues")
-	}
-	if !b.Dominates(a) {
-		t.Error("b has superset of blues, should dominate")
-	}
-	a.Set(2, Blue)
-	a.Set(4, Blue)
-	if !a.Dominates(b) || b.Dominates(a) {
-		t.Error("strict superset domination wrong")
-	}
-	if !a.Dominates(a) {
-		t.Error("domination must be reflexive")
-	}
-	if a.Dominates(NewConfig(5)) {
-		t.Error("size mismatch must not dominate")
-	}
 }
 
 func TestFromColours(t *testing.T) {
@@ -179,30 +143,16 @@ func TestStringSmallAndLarge(t *testing.T) {
 	}
 }
 
-// Property: Blues + Reds == N always.
+// Property: a random configuration has n vertices, at most n of them
+// Blue (no bit past n is counted), so its Red count N()−Blues() is never
+// negative.
 func TestQuickCountsSum(t *testing.T) {
 	f := func(seed uint64, nRaw uint16, pRaw uint8) bool {
 		n := int(nRaw) % 2000
 		c := RandomConfig(n, float64(pRaw)/255, rng.New(seed))
-		return c.Blues()+c.Reds() == n
+		return c.N() == n && c.N()-c.Blues() >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Dominates is antisymmetric up to equality.
-func TestQuickDominatesAntisymmetry(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.New(seed)
-		a := RandomConfig(64, 0.5, src)
-		b := RandomConfig(64, 0.5, src)
-		if a.Dominates(b) && b.Dominates(a) {
-			return a.Equal(b)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

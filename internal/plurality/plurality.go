@@ -14,19 +14,10 @@ package plurality
 import (
 	"fmt"
 
+	"repro/internal/dynamics"
 	"repro/internal/opinion"
 	"repro/internal/rng"
 )
-
-// Topology is the neighbour-query interface shared with the two-party
-// engine.
-type Topology interface {
-	N() int
-	Degree(v int) int
-	Neighbor(v, i int) int
-	MinDegree() int
-	Name() string
-}
 
 // TieRule decides the adopted opinion when the three samples are pairwise
 // distinct.
@@ -63,17 +54,6 @@ func (c *Config) N() int { return len(c.opinions) }
 
 // Q returns the opinion alphabet size.
 func (c *Config) Q() int { return c.q }
-
-// Get returns the opinion of vertex v.
-func (c *Config) Get(v int) int { return int(c.opinions[v]) }
-
-// Set assigns opinion op to vertex v.
-func (c *Config) Set(v, op int) {
-	if op < 0 || op >= c.q {
-		panic(fmt.Sprintf("plurality: opinion %d out of range [0,%d)", op, c.q))
-	}
-	c.opinions[v] = uint8(op)
-}
 
 // Counts returns the per-opinion vertex counts.
 func (c *Config) Counts() []int {
@@ -147,7 +127,7 @@ func RandomBiasedConfig(n, q int, share0 float64, src *rng.Source) *Config {
 // one RNG stream derived from the seed, so a trajectory is a function of
 // the seed alone.
 type Process struct {
-	g     Topology
+	g     dynamics.Topology
 	tie   TieRule
 	cur   *Config
 	next  *Config
@@ -165,7 +145,7 @@ type Options struct {
 
 // New returns a Process evolving init on g. The initial configuration is
 // copied.
-func New(g Topology, init *Config, opt Options) (*Process, error) {
+func New(g dynamics.Topology, init *Config, opt Options) (*Process, error) {
 	if g.N() != init.N() {
 		return nil, fmt.Errorf("plurality: graph has %d vertices, configuration has %d", g.N(), init.N())
 	}
@@ -180,9 +160,6 @@ func New(g Topology, init *Config, opt Options) (*Process, error) {
 		src:  rng.NewFrom(opt.Seed, 0),
 	}, nil
 }
-
-// Config returns the current configuration (aliased; clone to keep).
-func (p *Process) Config() *Config { return p.cur }
 
 // Round returns the number of completed rounds.
 func (p *Process) Round() int { return p.round }

@@ -2,6 +2,7 @@ package plurality
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -359,3 +360,17 @@ func BenchmarkStepQ5(b *testing.B) {
 		p.Step()
 	}
 }
+
+// Get returns the opinion of vertex v.
+func (c *Config) Get(v int) int { return int(c.opinions[v]) }
+
+// Set assigns opinion op to vertex v.
+func (c *Config) Set(v, op int) {
+	if op < 0 || op >= c.q {
+		panic(fmt.Sprintf("plurality: opinion %d out of range [0,%d)", op, c.q))
+	}
+	c.opinions[v] = uint8(op)
+}
+
+// Config returns the current configuration (aliased; clone to keep).
+func (p *Process) Config() *Config { return p.cur }

@@ -248,21 +248,3 @@ func (s *Source) Geometric(p float64) int {
 	}
 	return geomSkip(s.Uint64()>>11, math.Log1p(-p))
 }
-
-// NormFloat64 returns a standard normal sample via the polar (Marsaglia)
-// method. Used for randomised test inputs, not in the dynamics hot path.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
-// ExpFloat64 returns an Exp(1) sample by inversion.
-func (s *Source) ExpFloat64() float64 {
-	return -math.Log(1 - s.Float64())
-}

@@ -6,9 +6,9 @@
 // therefore consumes tens of millions of uniform variates. The generator
 // here is xoshiro256**, seeded through splitmix64, which passes standard
 // statistical batteries, has a 2^256−1 period, and generates a 64-bit word
-// in a handful of instructions with no locking. Independent streams for
-// parallel workers are derived by jumping the seed through splitmix64, which
-// guarantees distinct, well-separated initial states.
+// in a handful of instructions with no locking. Independent streams are
+// derived by mixing a seed and a stream index through splitmix64 (NewFrom,
+// ChildSeed), which guarantees distinct, well-separated initial states.
 //
 // All generators in this package are deterministic functions of their seed:
 // every experiment in the repository is exactly reproducible.
@@ -230,13 +230,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 		j := s.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Jump produces a new Source whose stream is independent of the receiver's
-// continued output, by reseeding from two fresh words of the receiver. This
-// gives a cheap split operation for spawning trial-local generators.
-func (s *Source) Jump() *Source {
-	return NewFrom(s.Uint64(), s.Uint64())
 }
 
 // ChildSeed deterministically derives a 64-bit seed from a parent seed and

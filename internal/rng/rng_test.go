@@ -326,20 +326,6 @@ func TestShuffleSwapCount(t *testing.T) {
 	}
 }
 
-func TestJumpIndependence(t *testing.T) {
-	s := New(12)
-	j := s.Jump()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if s.Uint64() == j.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("jumped stream matched parent %d/100 times", same)
-	}
-}
-
 func TestBinomialBounds(t *testing.T) {
 	s := New(13)
 	cases := []struct {
@@ -436,37 +422,6 @@ func TestGeometricPanics(t *testing.T) {
 			}()
 			New(1).Geometric(p)
 		}()
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(18)
-	sum, sumsq := 0.0, 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	variance := sumsq/n - mean*mean
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(19)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += s.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v", mean)
 	}
 }
 

@@ -229,15 +229,6 @@ func (c *GraphCache) insert(key string, g core.Topology) {
 	}
 }
 
-// Contains reports whether the key is resident, without touching LRU order
-// or counters. Exposed for tests.
-func (c *GraphCache) Contains(spec GraphSpec) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[spec.Key()]
-	return ok
-}
-
 // Stats returns a counter snapshot.
 func (c *GraphCache) Stats() CacheStats {
 	c.mu.Lock()

@@ -103,3 +103,15 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 		t.Error("failed build was cached")
 	}
 }
+
+// Cache exposes the graph pool (for stats and tests).
+func (m *Manager) Cache() *GraphCache { return m.cache }
+
+// Contains reports whether the key is resident, without touching LRU order
+// or counters. Exposed for tests.
+func (c *GraphCache) Contains(spec GraphSpec) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[spec.Key()]
+	return ok
+}

@@ -329,12 +329,6 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Bus exposes the event bus (for tests and embedding consumers).
-func (m *Manager) Bus() *bus.Bus { return m.bus }
-
-// Cache exposes the graph pool (for stats and tests).
-func (m *Manager) Cache() *GraphCache { return m.cache }
-
 // Submit validates the request, assigns an ID, and enqueues the job. The
 // returned view is in state "queued" — unless the persistent result store
 // already holds the request's content key, in which case the job is born

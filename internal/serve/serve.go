@@ -111,9 +111,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	mx.httpSeconds.With(route).ObserveSince(start)
 }
 
-// Manager exposes the underlying manager (for shutdown wiring).
-func (s *Server) Manager() *Manager { return s.mgr }
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

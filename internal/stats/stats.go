@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
 // experiment harness: summary statistics, confidence intervals for
-// proportions, histograms, and least-squares fits for scaling exponents.
+// proportions, least-squares fits for scaling exponents, and binomial
+// tails.
 package stats
 
 import (
@@ -70,27 +71,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// MeanInt is a convenience mean for integer samples.
-func MeanInt(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// Floats converts an int slice to float64 for use with Summarize.
-func Floats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 // Proportion is an observed success proportion with a Wilson score
@@ -178,35 +158,6 @@ func FitPower(x, y []float64) (exponent, coeff, r2 float64) {
 	}
 	fit := FitLine(lx, ly)
 	return fit.Slope, math.Exp(fit.Intercept), fit.R2
-}
-
-// Histogram counts xs into nbins equal-width bins over [min, max]. Values
-// outside the range are clamped into the end bins. It returns the counts
-// and the bin edges (nbins+1 values).
-func Histogram(xs []float64, nbins int, min, max float64) (counts []int, edges []float64) {
-	if nbins < 1 {
-		panic("stats: Histogram requires nbins >= 1")
-	}
-	if max <= min {
-		panic("stats: Histogram requires max > min")
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	width := (max - min) / float64(nbins)
-	for i := range edges {
-		edges[i] = min + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - min) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
 }
 
 // BinomialTail returns P(X >= k) for X ~ Bin(n, p), computed by summing the

@@ -51,19 +51,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMeanIntAndFloats(t *testing.T) {
-	if m := MeanInt([]int{1, 2, 3}); m != 2 {
-		t.Errorf("MeanInt = %v", m)
-	}
-	if m := MeanInt(nil); m != 0 {
-		t.Errorf("MeanInt(nil) = %v", m)
-	}
-	f := Floats([]int{1, 2})
-	if len(f) != 2 || f[0] != 1 || f[1] != 2 {
-		t.Errorf("Floats = %v", f)
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	p := WilsonInterval(50, 100, 1.96)
 	if !almost(p.P, 0.5, 1e-12) {
@@ -150,37 +137,6 @@ func TestFitPowerSkipsNonPositive(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0.1, 0.2, 0.8, 1.5, -4}, 2, 0, 1)
-	if len(counts) != 2 || len(edges) != 3 {
-		t.Fatalf("sizes: %v %v", counts, edges)
-	}
-	// -4 clamps into bin 0; 1.5 clamps into bin 1.
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Errorf("counts = %v", counts)
-	}
-	if edges[0] != 0 || !almost(edges[1], 0.5, 1e-12) || edges[2] != 1 {
-		t.Errorf("edges = %v", edges)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero bins":   func() { Histogram(nil, 0, 0, 1) },
-		"bad range":   func() { Histogram(nil, 2, 1, 1) },
-		"inverse rng": func() { Histogram(nil, 2, 2, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestBinomialTail(t *testing.T) {
 	// P(X >= 1) for Bin(2, 0.5) = 3/4.
 	if got := BinomialTail(2, 1, 0.5); !almost(got, 0.75, 1e-12) {
@@ -246,28 +202,6 @@ func TestQuickSummaryOrdering(t *testing.T) {
 		return s.Min <= s.Median && s.Median <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: histogram counts sum to the sample size.
-func TestQuickHistogramTotal(t *testing.T) {
-	f := func(xs []float64, nbRaw uint8) bool {
-		nb := int(nbRaw)%20 + 1
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) {
-				clean = append(clean, x)
-			}
-		}
-		counts, _ := Histogram(clean, nb, -1, 1)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == len(clean)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

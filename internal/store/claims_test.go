@@ -466,3 +466,14 @@ func BenchmarkClaim(b *testing.B) {
 		}
 	}
 }
+
+// failAfterBytes arms the crash-injection hook: subsequent appends write
+// at most n more bytes to disk in total, then fail with errCrashInjected,
+// leaving a torn tail exactly as a kill mid-append would. n < 0 disarms.
+// Test-only; the hook is never armed in production paths.
+func (s *Store) failAfterBytes(n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.crashArmed = n >= 0
+	s.crashAfter = n
+}

@@ -299,17 +299,6 @@ type Store struct {
 // errCrashInjected is returned by writes cut short by failAfterBytes.
 var errCrashInjected = errors.New("store: injected crash after byte budget")
 
-// failAfterBytes arms the crash-injection hook: subsequent appends write
-// at most n more bytes to disk in total, then fail with errCrashInjected,
-// leaving a torn tail exactly as a kill mid-append would. n < 0 disarms.
-// Test-only; the hook is never armed in production paths.
-func (s *Store) failAfterBytes(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashArmed = n >= 0
-	s.crashAfter = n
-}
-
 // Open opens (or creates) the store at dir, replaying every segment into
 // the in-memory index and recovering past torn writes.
 func Open(dir string, opts Options) (*Store, error) {
@@ -1152,9 +1141,6 @@ func (s *Store) Stats() Stats {
 		Evicted:  s.evicted,
 	}
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close closes every segment file and releases the writer lock. The
 // store is unusable afterwards.

@@ -1,7 +1,8 @@
 // Package trace records voting-dynamics runs as structured, serialisable
 // artifacts: per-round trajectories plus run metadata, with CSV and JSON
-// encodings. The CLI tools use it to persist runs for external plotting,
-// and the round-trip property is tested so archived traces stay readable.
+// encodings. The CLI tools use it to persist runs for external plotting;
+// the tests decode what both writers emit, field by field and row by row,
+// so archived traces stay readable.
 package trace
 
 import (
@@ -34,42 +35,11 @@ type Run struct {
 	BlueCounts []int `json:"blue_counts"`
 }
 
-// Validate checks internal consistency of a (possibly deserialised) run.
-func (r *Run) Validate() error {
-	if r.N < 0 {
-		return fmt.Errorf("trace: negative n")
-	}
-	if r.Rounds < 0 {
-		return fmt.Errorf("trace: negative rounds")
-	}
-	if len(r.BlueCounts) > 0 && len(r.BlueCounts) != r.Rounds+1 {
-		return fmt.Errorf("trace: %d blue counts for %d rounds", len(r.BlueCounts), r.Rounds)
-	}
-	for i, b := range r.BlueCounts {
-		if b < 0 || b > r.N {
-			return fmt.Errorf("trace: blue count %d at round %d outside [0,%d]", b, i, r.N)
-		}
-	}
-	return nil
-}
-
 // WriteJSON writes the run as indented JSON.
 func (r *Run) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadJSON parses a run written by WriteJSON and validates it.
-func ReadJSON(rd io.Reader) (*Run, error) {
-	var r Run
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("trace: decoding run: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // WriteCSV writes the trajectory as a two-column CSV (round, blue_count)
@@ -87,38 +57,4 @@ func (r *Run) WriteCSV(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// ReadCSV parses the trajectory columns of a WriteCSV stream. Metadata in
-// the comment header is not reconstructed; only round/blue pairs are
-// returned, in order.
-func ReadCSV(rd io.Reader) ([]int, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV: %w", err)
-	}
-	var counts []int
-	for lineNo, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "round,") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("trace: line %d: want 2 fields, got %d", lineNo+1, len(parts))
-		}
-		round, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad round: %w", lineNo+1, err)
-		}
-		if round != len(counts) {
-			return nil, fmt.Errorf("trace: line %d: round %d out of order", lineNo+1, round)
-		}
-		bc, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad blue count: %w", lineNo+1, err)
-		}
-		counts = append(counts, bc)
-	}
-	return counts, nil
 }

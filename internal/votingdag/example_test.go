@@ -57,16 +57,3 @@ func ExampleMinBlueLeavesForBlueRoot() {
 	// h=3: need >= 8 blue leaves
 	// h=4: need >= 16 blue leaves
 }
-
-// ExactRootBlueProb enumerates leaf colourings: a collision-free height-1
-// DAG reproduces equation (1) exactly.
-func ExampleDAG_ExactRootBlueProb() {
-	d := votingdag.BuildManual([]votingdag.ManualLevel{
-		{{V: 10}, {V: 11}, {V: 12}},
-		{{V: 1, Children: [3]int{0, 1, 2}}},
-	})
-	p := 0.4
-	fmt.Printf("exact: %.4f  eq(1): %.4f\n", d.ExactRootBlueProb(p), 3*p*p-2*p*p*p)
-	// Output:
-	// exact: 0.3520  eq(1): 0.3520
-}
