@@ -14,6 +14,7 @@ func TestScenarioNamesStable(t *testing.T) {
 		"round/kn-general",
 		"round/regular",
 		"round/regular-noise",
+		"round/regular-async",
 		"trials/kn",
 		"trials/regular",
 		"graph/artifact-load",

@@ -66,13 +66,18 @@ var scenarios = []scenario{
 	},
 	{
 		name:        "round/regular",
-		description: "general-engine round throughput on random-regular (batched sampling hot path)",
+		description: "general-engine round throughput on random-regular (vertex kernel, CSR rows)",
 		run:         roundRegular,
 	},
 	{
 		name:        "round/regular-noise",
-		description: "general-engine round throughput with per-sample noise (scalar path, flips drawn through rng.BinomialTable)",
+		description: "general-engine round throughput with per-sample noise (vertex kernel, flips drawn through rng.BinomialTable)",
 		run:         roundRegularNoise,
+	},
+	{
+		name:        "round/regular-async",
+		description: "async sweep throughput with per-sample noise (n ticks through the same vertex kernel, rows prefetched)",
+		run:         roundRegularAsync,
 	},
 	{
 		name:        "trials/kn",
@@ -187,6 +192,33 @@ func roundRegularNoise(s Scale) (map[string]any, map[string]float64, error) {
 			"ns_per_round":      nsPerRound,
 			"rounds_per_sec":    1e9 / nsPerRound,
 			"mvertices_per_sec": float64(n) / nsPerRound * 1e3,
+		}, nil
+}
+
+// roundRegularAsync times async sweeps in the shape of perfbench
+// sweep-variants' async noise cells: random-regular n = 2¹⁵, d = 32,
+// Best-of-Three with noise 0.05. Noise holds the configuration off
+// consensus, so no sweep is cut short and no reset is needed.
+func roundRegularAsync(s Scale) (map[string]any, map[string]float64, error) {
+	n, d := s.pick(1<<15, 1<<13), 32
+	g := graph.RandomRegular(n, d, rng.New(s.Seed))
+	init := opinion.RandomConfig(n, 0.4, rng.New(s.Seed+1))
+	rule := dynamics.Rule{K: 3, Noise: 0.05}
+	a, err := dynamics.NewAsync(g, rule, init, s.Seed+2)
+	if err != nil {
+		return nil, nil, err
+	}
+	sweeps := s.pick(64, 16)
+	start := time.Now()
+	for i := 0; i < sweeps; i++ {
+		a.Step()
+	}
+	nsPerSweep := float64(time.Since(start).Nanoseconds()) / float64(sweeps)
+	return map[string]any{"family": "random-regular", "n": n, "d": d, "k": 3, "noise": 0.05, "sweeps": sweeps},
+		map[string]float64{
+			"ns_per_sweep":      nsPerSweep,
+			"sweeps_per_sec":    1e9 / nsPerSweep,
+			"mvertices_per_sec": float64(n) / nsPerSweep * 1e3,
 		}, nil
 }
 

@@ -12,13 +12,14 @@
 // (see Engine):
 //
 //   - The general engine double-buffers the configuration and sweeps the
-//     vertices in order on the calling goroutine, drawing every sample from
-//     the process's one RNG stream, fronted by a refill buffer (blocks of
-//     words drawn at once, Lemire bounded reduction per sample). Opinions
+//     vertices in order on the calling goroutine through one vertex kernel,
+//     which the async sweep runs too. The kernel reads the topology's rows
+//     resolved once per process (Rows) and draws every sample from the
+//     process's one RNG stream through one block-refilled buffer
+//     (rng.Words), consuming the generator's words in exactly the order a
+//     scalar sampler would, so buffering changes no trajectory. Opinions
 //     are read and written word-at-a-time against the packed bitsets, and
-//     a run is a deterministic function of its seed. The buffered sampler
-//     consumes generator words in exactly the order the scalar sampler
-//     would, so batching does not change any trajectory. Parallelism lives
+//     a run is a deterministic function of its seed. Parallelism lives
 //     one level up: callers run independent processes (trials)
 //     concurrently.
 //   - The mean-field engine advances topologies that declare mean-field
@@ -43,9 +44,10 @@ import (
 )
 
 // Topology is the minimal neighbour-query interface the engine needs. Both
-// *graph.Graph (CSR) and graph.Kn (virtual complete graph) satisfy it; the
-// engine is deliberately agnostic so complete-graph experiments avoid the
-// Θ(n²) edge list.
+// *graph.Graph (CSR) and graph.Kn (virtual complete graph, so that
+// complete-graph experiments avoid the Θ(n²) edge list) satisfy it. The
+// engine reads those two types' rows directly (ResolveRows) and makes
+// these calls only for other implementations.
 type Topology interface {
 	// N returns the number of vertices.
 	N() int
@@ -68,14 +70,6 @@ type Topology interface {
 type MeanFielder interface {
 	Topology
 	MeanFieldEligible() bool
-}
-
-// neighborSlicer is an optional Topology extension implemented by the CSR
-// graph type: the neighbour row of v as a slice, letting the sampler index
-// it directly instead of paying one interface call per sample. Detected
-// dynamically so the engine still depends only on Topology.
-type neighborSlicer interface {
-	Neighbors(v int) []int32
 }
 
 // Engine selects the per-round update implementation.
@@ -232,13 +226,10 @@ type Process struct {
 	round  int
 	engine Engine
 
-	// src drives every draw: the noisy scalar path and the mean-field step
-	// read it directly, the noise-free batched path through buf.
-	src *rng.Source
-	buf sampleBuf
-	// flips draws the noisy scalar path's Bin(m, Noise) sample flips (nil
-	// without noise and under the mean-field engine).
-	flips *rng.BinomialTable
+	// src is the process's one stream: the mean-field step draws from it
+	// directly, the general engine through kern's buffer.
+	src  *rng.Source
+	kern kernel
 
 	// Mean-field state: the blue count is the whole configuration. cur is
 	// materialised from it lazily (mfDirty tracks staleness) so Config()
@@ -294,19 +285,17 @@ func New(g Topology, rule Rule, init *opinion.Config, opt Options) (*Process, er
 			return nil, fmt.Errorf("dynamics: engine %q requested but topology %s does not declare mean-field eligibility", EngineMeanField, g.Name())
 		}
 	}
-	src := rng.NewFrom(opt.Seed, 0)
 	p := &Process{
 		g:       g,
 		rule:    rule,
 		cur:     init.Clone(),
 		next:    opinion.NewConfig(g.N()),
 		engine:  engine,
-		src:     src,
-		buf:     sampleBuf{src: src, pos: sampleBufWords},
+		src:     rng.NewFrom(opt.Seed, 0),
 		mfBlues: init.Blues(),
 	}
-	if rule.Noise > 0 && engine == EngineGeneral {
-		p.flips = rng.NewBinomialTable(rule.Noise, rule.K)
+	if engine == EngineGeneral {
+		p.kern = newKernel(g, rule, p.src)
 	}
 	n := g.N()
 	if len(opt.Stubborn) > 0 {
@@ -386,7 +375,9 @@ func (p *Process) SetBlueCount(b int) {
 // pre-round configuration, so the update is a simultaneous one as the paper
 // requires. Zealots are restored after the full round: every vertex,
 // zealots included, draws its samples as usual, and the zealots then
-// ignore their computed update.
+// ignore their computed update. The general engine runs the vertex kernel
+// over the vertices in order, assembling each 64-vertex block's results in
+// a register and storing them with one write.
 func (p *Process) Step() {
 	if p.g.N() == 0 {
 		p.round++
@@ -397,14 +388,17 @@ func (p *Process) Step() {
 		p.round++
 		return
 	}
-	// Noise-free rules take the batched path (buffered RNG, word-at-a-time
-	// bitset access); noisy rules keep the scalar path, whose per-vertex
-	// flip draws pull from the raw source and must not interleave with the
-	// refill buffer.
-	if p.rule.Noise > 0 {
-		p.stepScalar()
-	} else {
-		p.stepBatched()
+	n := p.g.N()
+	cur := p.cur.BlueSet().Words()
+	next := p.next.BlueSet()
+	kn := &p.kern
+	for base := 0; base < n; base += 64 {
+		end := min(base+64, n)
+		var out uint64
+		for v := base; v < end; v++ {
+			out |= kn.update(cur, v) << (uint(v) & 63)
+		}
+		next.SetWord(base>>6, out)
 	}
 	p.cur, p.next = p.next, p.cur
 	if p.frozenMask != nil {
@@ -414,177 +408,4 @@ func (p *Process) Step() {
 		}
 	}
 	p.round++
-}
-
-// stepBatched is the noise-free hot path. Uniform words come from the
-// refill buffer (consumed in exactly the order the scalar path would draw
-// them, so trajectories are unchanged), opinions are read by direct word
-// indexing, and the 64 results of each aligned vertex block are assembled
-// in a register and stored with one write.
-func (p *Process) stepBatched() {
-	k := p.rule.K
-	g := p.g
-	n := g.N()
-	ns, hasRows := g.(neighborSlicer)
-	curWords := p.cur.BlueSet().Words()
-	next := p.next.BlueSet()
-	buf := &p.buf
-	tieRandom := p.rule.Tie == TieRandom
-	woRepl := p.rule.WithoutReplacement
-	for base := 0; base < n; base += 64 {
-		end := min(base+64, n)
-		var out uint64
-		for v := base; v < end; v++ {
-			deg := g.Degree(v)
-			blues := 0
-			switch {
-			case woRepl && deg >= k:
-				blues = p.sampleDistinctBatched(v, deg, k, buf, curWords)
-			case hasRows:
-				row := ns.Neighbors(v)
-				for i := 0; i < k; i++ {
-					w := int(row[buf.intn(deg)])
-					blues += int((curWords[w>>6] >> (uint(w) & 63)) & 1)
-				}
-			default:
-				for i := 0; i < k; i++ {
-					w := g.Neighbor(v, buf.intn(deg))
-					blues += int((curWords[w>>6] >> (uint(w) & 63)) & 1)
-				}
-			}
-			var bit uint64
-			switch {
-			case 2*blues > k:
-				bit = 1
-			case 2*blues < k:
-				bit = 0
-			case tieRandom:
-				if buf.bernoulliHalf() {
-					bit = 1
-				}
-			default: // TieKeep
-				bit = (curWords[v>>6] >> (uint(v) & 63)) & 1
-			}
-			out |= bit << (uint(v) & 63)
-		}
-		next.SetWord(base>>6, out)
-	}
-}
-
-// stepScalar is the update loop for rules with per-sample noise: their
-// flip draws consume the raw source directly, and the trajectory contract
-// (fixed seed ⇒ fixed outcome) pins this consumption order. Like the
-// batched path it assembles each 64-vertex block in a register and stores
-// it with one write.
-func (p *Process) stepScalar() {
-	n := p.g.N()
-	cur := p.cur.BlueSet().Words()
-	next := p.next.BlueSet()
-	src := p.src
-	for base := 0; base < n; base += 64 {
-		end := min(base+64, n)
-		var out uint64
-		for v := base; v < end; v++ {
-			out |= updateScalar(p.g, &p.rule, p.flips, cur, v, src) << (uint(v) & 63)
-		}
-		next.SetWord(base>>6, out)
-	}
-}
-
-// updateScalar is the one Best-of-k vertex update drawn straight from a raw
-// source, shared by the synchronous noisy path and the async tick: v
-// samples k neighbours (distinct ones, via a partial Floyd sample, when the
-// rule asks and deg ≥ k), each observed opinion flips independently with
-// probability rule.Noise, and v adopts the majority, breaking ties by the
-// rule. cur holds the configuration's packed blue words; the result is
-// v's new opinion as a bit (1 = Blue). Like the batched path it indexes
-// CSR rows directly when the topology offers them; the draws are the same
-// either way. flips is the rule's noise sampler (nil without noise): it
-// draws exactly what src.Binomial(m, rule.Noise) would.
-func updateScalar(g Topology, rule *Rule, flips *rng.BinomialTable, cur []uint64, v int, src *rng.Source) uint64 {
-	k := rule.K
-	ns, hasRows := g.(neighborSlicer)
-	var row []int32
-	var deg int
-	if hasRows {
-		row = ns.Neighbors(v)
-		deg = len(row)
-	} else {
-		deg = g.Degree(v)
-	}
-	blues := 0
-	if rule.WithoutReplacement && deg >= k {
-		var chosenArr [8]int
-		chosen := chosenArr[:0]
-		if k > len(chosenArr) {
-			chosen = make([]int, 0, k)
-		}
-		for i := 0; i < k; i++ {
-		retry:
-			idx := src.Intn(deg)
-			for _, c := range chosen {
-				if c == idx {
-					goto retry
-				}
-			}
-			chosen = append(chosen, idx)
-			w := g.Neighbor(v, idx)
-			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
-		}
-	} else if hasRows {
-		for i := 0; i < k; i++ {
-			w := int(row[src.Intn(deg)])
-			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
-		}
-	} else {
-		for i := 0; i < k; i++ {
-			w := g.Neighbor(v, src.Intn(deg))
-			blues += int((cur[w>>6] >> (uint(w) & 63)) & 1)
-		}
-	}
-	if flips != nil {
-		// Flip each of the k observed opinions independently: of the
-		// `blues` blue samples, Bin(blues, noise) flip to red; of the
-		// red samples, Bin(k−blues, noise) flip to blue.
-		blues += flips.Sample(src, k-blues) - flips.Sample(src, blues)
-	}
-	switch {
-	case 2*blues > k:
-		return 1
-	case 2*blues < k:
-		return 0
-	case rule.Tie == TieKeep:
-		return (cur[v>>6] >> (uint(v) & 63)) & 1
-	case src.Bernoulli(0.5):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// sampleDistinctBatched counts blue opinions among k distinct uniform
-// neighbours of v via a partial Floyd sample drawing from the refill
-// buffer. k is tiny in practice (≤ 5), so the rejection loop is cheap;
-// k > 8 spills the seen-index scratch to the heap instead of overrunning
-// it.
-func (p *Process) sampleDistinctBatched(v, deg, k int, buf *sampleBuf, curWords []uint64) int {
-	var chosenArr [8]int
-	chosen := chosenArr[:0]
-	if k > len(chosenArr) {
-		chosen = make([]int, 0, k)
-	}
-	blues := 0
-	for i := 0; i < k; i++ {
-	retry:
-		idx := buf.intn(deg)
-		for _, c := range chosen {
-			if c == idx {
-				goto retry
-			}
-		}
-		chosen = append(chosen, idx)
-		w := p.g.Neighbor(v, idx)
-		blues += int((curWords[w>>6] >> (uint(w) & 63)) & 1)
-	}
-	return blues
 }

@@ -350,10 +350,10 @@ func TestAsyncBlueCounterConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		a.Tick()
+	for i := 0; i < 40 && !a.Consensus(); i++ {
+		a.Step()
 		if a.blues != a.cfg.Blues() {
-			t.Fatalf("cached blue count %d != actual %d at tick %d", a.blues, a.cfg.Blues(), i)
+			t.Fatalf("cached blue count %d != actual %d after sweep %d", a.blues, a.cfg.Blues(), i+1)
 		}
 	}
 }
@@ -463,12 +463,13 @@ func BenchmarkAsyncNoisySweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < noisyBenchN; j++ {
-			a.Tick()
-		}
+		a.Step()
 	}
 }
 
+// BenchmarkAsyncSweep times one noise-free sweep, restoring the initial
+// configuration before each one (an O(n/64) copy) so that no timed sweep
+// starts at consensus, where Step returns at once.
 func BenchmarkAsyncSweep(b *testing.B) {
 	g := graph.RandomRegular(8192, 32, rng.New(1))
 	cfg := opinion.RandomConfig(8192, 0.4, rng.New(2))
@@ -478,8 +479,8 @@ func BenchmarkAsyncSweep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < 8192; j++ {
-			a.Tick()
-		}
+		copy(a.cfg.BlueSet().Words(), cfg.BlueSet().Words())
+		a.blues = cfg.Blues()
+		a.Step()
 	}
 }

@@ -123,15 +123,16 @@ func RandomBiasedConfig(n, q int, share0 float64, src *rng.Source) *Config {
 }
 
 // Process runs the q-opinion Best-of-Three dynamic. Like the two-party
-// engine it double-buffers the configuration and draws every sample from
-// one RNG stream derived from the seed, so a trajectory is a function of
-// the seed alone.
+// engine it double-buffers the configuration, reads the topology's rows
+// resolved once (dynamics.Rows), and draws every sample from one RNG
+// stream derived from the seed through a refill buffer, so a trajectory
+// is a function of the seed alone.
 type Process struct {
-	g     dynamics.Topology
+	rows  dynamics.Rows
 	tie   TieRule
 	cur   *Config
 	next  *Config
-	src   *rng.Source
+	w     *rng.Words
 	round int
 }
 
@@ -153,11 +154,11 @@ func New(g dynamics.Topology, init *Config, opt Options) (*Process, error) {
 		return nil, fmt.Errorf("plurality: graph %s has an isolated vertex", g.Name())
 	}
 	return &Process{
-		g:    g,
+		rows: dynamics.ResolveRows(g),
 		tie:  opt.Tie,
 		cur:  init.Clone(),
 		next: NewConfig(g.N(), init.Q()),
-		src:  rng.NewFrom(opt.Seed, 0),
+		w:    rng.NewWords(rng.NewFrom(opt.Seed, 0)),
 	}, nil
 }
 
@@ -193,33 +194,32 @@ func (p *Process) Majority() opinion.Colour {
 }
 
 // Step performs one synchronous round: every vertex samples from the
-// pre-round configuration, in vertex order from the one source.
+// pre-round configuration, in vertex order from the one stream: three
+// neighbour indices, then, on a three-way tie under TieRandomSample, the
+// sample to adopt.
 func (p *Process) Step() {
-	src := p.src
-	for v := range p.cur.opinions {
-		deg := p.g.Degree(v)
-		a := p.cur.opinions[p.g.Neighbor(v, src.Intn(deg))]
-		b := p.cur.opinions[p.g.Neighbor(v, src.Intn(deg))]
-		c := p.cur.opinions[p.g.Neighbor(v, src.Intn(deg))]
+	w, ops := p.w, p.cur.opinions
+	for v := range ops {
+		base, end := p.rows.Row(v)
+		var s [3]uint8
+		for i := range s {
+			idx, ok := w.TryIntn(end - base)
+			if !ok {
+				idx = w.Intn(end - base)
+			}
+			s[i] = ops[p.rows.Neighbor(v, base, idx)]
+		}
+		a, b, c := s[0], s[1], s[2]
 		var adopt uint8
 		switch {
 		case a == b || a == c:
 			adopt = a
 		case b == c:
 			adopt = b
-		default: // three distinct opinions
-			if p.tie == TieKeep {
-				adopt = p.cur.opinions[v]
-			} else {
-				switch src.Intn(3) {
-				case 0:
-					adopt = a
-				case 1:
-					adopt = b
-				default:
-					adopt = c
-				}
-			}
+		case p.tie == TieKeep: // three distinct opinions
+			adopt = ops[v]
+		default:
+			adopt = s[w.Intn(3)]
 		}
 		p.next.opinions[v] = adopt
 	}

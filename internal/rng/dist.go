@@ -7,7 +7,22 @@ import "math"
 // Hörmann (1993), which runs in O(1) expected time independent of n. The
 // split keeps the small-n path exact and branch-predictable, which is the
 // common case when sampling per-vertex collision counts.
-func (s *Source) Binomial(n int, p float64) int {
+func (s *Source) Binomial(n int, p float64) int { return binomial(s, n, p) }
+
+// wordSource is what the binomial samplers draw from: a Source, or Words
+// buffered in front of one. Both hand out the same stream, so a sampler
+// draws the same values from either.
+type wordSource interface {
+	Uint64() uint64
+}
+
+// float53 is Source.Float64 over any word source.
+func float53(s wordSource) float64 {
+	return float64(s.Uint64()>>11) / (1 << 53)
+}
+
+// binomial is Binomial drawing from s.
+func binomial(s wordSource, n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
@@ -16,12 +31,12 @@ func (s *Source) Binomial(n int, p float64) int {
 	}
 	// Exploit symmetry so the rejection sampler works with p <= 1/2.
 	if p > 0.5 {
-		return n - s.Binomial(n, 1-p)
+		return n - binomial(s, n, 1-p)
 	}
 	if float64(n)*p < 10 || n < 32 {
-		return s.binomialDirect(n, p)
+		return binomialDirect(s, n, p)
 	}
-	return s.binomialBTRS(n, p)
+	return binomialBTRS(s, n, p)
 }
 
 // geometricBelow is binomialDirect's split: below it the branch jumps
@@ -29,7 +44,7 @@ func (s *Source) Binomial(n int, p float64) int {
 const geometricBelow = 0.1
 
 // binomialDirect sums n Bernoulli(p) draws. Exact and fast for small n·p.
-func (s *Source) binomialDirect(n int, p float64) int {
+func binomialDirect(s wordSource, n int, p float64) int {
 	// Geometric skipping: the number of failures before the next success is
 	// Geometric(p), so we jump between successes instead of testing every
 	// trial. Expected work O(n·p + 1).
@@ -48,7 +63,7 @@ func (s *Source) binomialDirect(n int, p float64) int {
 	}
 	count := 0
 	for i := 0; i < n; i++ {
-		if s.Float64() < p {
+		if float53(s) < p {
 			count++
 		}
 	}
@@ -79,9 +94,10 @@ const binomialGuard = 1 << 12
 const binomialTableMax = 32
 
 // BinomialTable draws Bin(n, p) for one fixed p without taking logarithms.
-// From the same source it returns exactly what Source.Binomial(n, p)
-// returns: the same words in the same order, and the same value. So a
-// caller can swap one for the other without moving any stream.
+// From a Words buffer it returns exactly what Source.Binomial(n, p)
+// returns from the same stream: the same words in the same order, and the
+// same value. So a caller can swap one for the other without moving any
+// stream.
 //
 // It covers the geometric branch of Binomial's small-n path (p < 0.1).
 // There each skip depends on the 53-bit word u53 only through which
@@ -154,20 +170,38 @@ func NewBinomialTable(p float64, maxN int) *BinomialTable {
 	return t
 }
 
-// Sample returns s.Binomial(n, p), drawing the same words.
-func (t *BinomialTable) Sample(s *Source, n int) int {
+// TrySample is Sample's inlinable fast path. It decides the two common
+// draws: n ≤ 0, which draws nothing, and a first word clearing thr[n]'s
+// guard band, which is a skip past all n trials and so 0 flips (what skip
+// returns at r = n). It then returns 0 and true, having consumed that one
+// word. Otherwise it consumes nothing and returns false, and Sample draws
+// from the same word.
+func (t *BinomialTable) TrySample(w *Words, n int) (int, bool) {
+	if n <= 0 {
+		return 0, true
+	}
+	if n <= t.maxN && uint(w.pos) < wordsLen && w.buf[w.pos]>>11 >= t.thr[n]+binomialGuard {
+		w.pos++
+		return 0, true
+	}
+	return 0, false
+}
+
+// Sample returns a draw from Bin(n, p) through w: exactly the value and
+// the words Source.Binomial(n, p) takes from the same stream.
+func (t *BinomialTable) Sample(w *Words, n int) int {
 	if n <= 0 {
 		return 0
 	}
 	if n > t.maxN {
-		return s.Binomial(n, t.p)
+		return binomial(w, n, t.p)
 	}
 	// binomialDirect's geometric loop, counting the r trials left: a skip
 	// of r or more passes the last trial. At r = 0 it still draws the one
 	// word binomialDirect draws before it returns.
 	count := 0
 	for r := n; ; {
-		skip := t.skip(s.Uint64()>>11, r)
+		skip := t.skip(w.Uint64()>>11, r)
 		if skip >= r {
 			return count
 		}
@@ -196,7 +230,7 @@ func (t *BinomialTable) skip(u uint64, r int) int {
 // binomialBTRS implements the BTRS algorithm (Hörmann, "The generation of
 // binomial random variates", J. Stat. Comput. Simul. 46, 1993) for
 // n·p >= 10 and p <= 1/2.
-func (s *Source) binomialBTRS(n int, p float64) int {
+func binomialBTRS(s wordSource, n int, p float64) int {
 	nf := float64(n)
 	q := 1 - p
 	spq := math.Sqrt(nf * p * q)
@@ -212,8 +246,8 @@ func (s *Source) binomialBTRS(n int, p float64) int {
 	h := lgamma(m+1) + lgamma(nf-m+1)
 
 	for {
-		u := s.Float64() - 0.5
-		v := s.Float64()
+		u := float53(s) - 0.5
+		v := float53(s)
 		us := 0.5 - math.Abs(u)
 		k := math.Floor((2*a/us+b)*u + c)
 		if k < 0 || k > nf {

@@ -592,14 +592,26 @@ var binomialTableProbs = []float64{1e-20, 1e-9, 0.01, 0.05, math.Nextafter(0.1, 
 // largest sample count a rule can ask for.
 const binomialTableMaxN = 255
 
-// checkTableDraws draws Bin(n, p) draws times from two sources seeded
-// alike, through the table and through Source.Binomial: every value must
-// agree, and both must leave the stream at the same word.
+// tableDraw is the flip draw the dynamics engine makes: the table's
+// inlined fast path, then its one slow call if the fast path declines.
+func tableDraw(tbl *BinomialTable, w *Words, n int) int {
+	x, ok := tbl.TrySample(w, n)
+	if !ok {
+		x = tbl.Sample(w, n)
+	}
+	return x
+}
+
+// checkTableDraws draws Bin(n, p) draws times from two streams seeded
+// alike, through the engine's table draw from buffered Words and through
+// Source.Binomial: every value must agree, and both must leave the stream
+// at the same word. The draws cross buffer refills whenever draws·n
+// words outrun the 256-word buffer.
 func checkTableDraws(t *testing.T, tbl *BinomialTable, p float64, n int, seed uint64, draws int) {
 	t.Helper()
-	a, b := New(seed), New(seed)
+	a, b := NewWords(New(seed)), New(seed)
 	for i := 0; i < draws; i++ {
-		if got, want := tbl.Sample(a, n), b.Binomial(n, p); got != want {
+		if got, want := tableDraw(tbl, a, n), b.Binomial(n, p); got != want {
 			t.Fatalf("p=%v n=%d draw %d: table %d, Binomial %d", p, n, i, got, want)
 		}
 	}
@@ -608,9 +620,10 @@ func checkTableDraws(t *testing.T, tbl *BinomialTable, p float64, n int, seed ui
 	}
 }
 
-// TestBinomialTableMatchesBinomial: from equal seeds, every draw of the
-// table equals Source.Binomial's, and both leave the stream at the same
-// word. n runs past the table into Binomial's BTRS region for p ≥ 0.05.
+// TestBinomialTableMatchesBinomial: from equal seeds, every engine draw
+// through the table equals Source.Binomial's, and both leave the stream
+// at the same word. n runs past the table into Binomial's BTRS region for
+// p ≥ 0.05.
 func TestBinomialTableMatchesBinomial(t *testing.T) {
 	for _, p := range binomialTableProbs {
 		tbl := NewBinomialTable(p, binomialTableMaxN)
@@ -623,9 +636,12 @@ func TestBinomialTableMatchesBinomial(t *testing.T) {
 // TestBinomialTableWindows: each threshold is a word where geomSkip
 // reaches its skip, and every 53-bit word within ±2¹⁶ of it gets
 // geomSkip's own skip, both where that threshold ends the draw (r = j) and
-// where the scan below the last threshold meets it (r = j+1).
+// where the scan below the last threshold meets it (r = j+1). The first
+// word of the engine's draw of Bin(r) is decided the same way: when the
+// inlined fast path takes it as 0 flips, geomSkip passes all r trials.
 func TestBinomialTableWindows(t *testing.T) {
 	const window = 1 << 16
+	w := NewWords(New(1))
 	for _, p := range []float64{0.01, 0.05, math.Nextafter(0.1, 0)} {
 		tbl := NewBinomialTable(p, binomialTableMaxN)
 		if tbl.thr == nil || tbl.maxN != binomialTableMax {
@@ -640,6 +656,10 @@ func TestBinomialTableWindows(t *testing.T) {
 				for _, r := range []int{j, min(j+1, tbl.maxN)} {
 					if got := tbl.skip(u, r); got != min(want, r) {
 						t.Fatalf("p=%v threshold %d word %d r=%d: skip %d, geomSkip %d", p, j, u, r, got, want)
+					}
+					w.pos, w.buf[0] = 0, u<<11|0x7ff
+					if _, ok := tbl.TrySample(w, r); ok != (w.pos == 1) || ok && want < r {
+						t.Fatalf("p=%v threshold %d word %d r=%d: fast path took %v (consumed %d words), geomSkip %d", p, j, u, r, ok, w.pos, want)
 					}
 				}
 			}
@@ -660,8 +680,9 @@ func TestNewBinomialTableRejectsBadP(t *testing.T) {
 	}
 }
 
-// FuzzBinomialTable: for any valid p and n, the table and Source.Binomial
-// draw the same values from the same words.
+// FuzzBinomialTable: for any valid p and n, the engine's table draw from
+// buffered Words and Source.Binomial draw the same values from the same
+// words.
 func FuzzBinomialTable(f *testing.F) {
 	f.Add(uint64(1), 0.05, 3)
 	f.Add(uint64(2), 0.01, 40)
@@ -694,11 +715,11 @@ func BenchmarkBinomialFlips(b *testing.B) {
 			_ = sink
 		})
 		b.Run(fmt.Sprintf("n%d_p%v/Table", c.n, c.p), func(b *testing.B) {
-			s := New(1)
+			w := NewWords(New(1))
 			tbl := NewBinomialTable(c.p, c.n)
 			var sink int
 			for i := 0; i < b.N; i++ {
-				sink += tbl.Sample(s, c.n)
+				sink += tableDraw(tbl, w, c.n)
 			}
 			_ = sink
 		})
@@ -711,5 +732,51 @@ func BenchmarkBinomialFlips(b *testing.B) {
 func BenchmarkNewBinomialTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NewBinomialTable(0.01, binomialTableMaxN)
+	}
+}
+
+// TestWordsMatchesSource: Words hands out the source's stream word for
+// word across refills, whatever mix of draws takes it: Intn (through
+// TryIntn first, as the engine draws), Uint64 and Half each draw what the
+// Source's own method draws. Peek shows the word d draws ahead without
+// consuming it, and declines past the buffered block instead of
+// refilling.
+func TestWordsMatchesSource(t *testing.T) {
+	w, s := NewWords(New(8)), New(8)
+	if _, ok := w.Peek(0); ok {
+		t.Fatal("Peek on an empty buffer reported a word")
+	}
+	for i := 0; i < 5000; i++ {
+		// Bounds near 2⁶⁴ make Lemire's rejection likely.
+		n := []int{1, 3, 1000, 1<<63 - 1, 3<<61 + 5}[i%5]
+		switch i % 3 {
+		case 0:
+			got, ok := w.TryIntn(n)
+			if !ok {
+				got = w.Intn(n)
+			}
+			if want := s.Intn(n); got != want {
+				t.Fatalf("draw %d: Intn(%d) = %d, Source %d", i, n, got, want)
+			}
+		case 1:
+			if got, want := w.Uint64(), s.Uint64(); got != want {
+				t.Fatalf("draw %d: Uint64 = %d, Source %d", i, got, want)
+			}
+		default:
+			if got, want := w.Half(), s.Bernoulli(0.5); got != want {
+				t.Fatalf("draw %d: Half = %v, Source %v", i, got, want)
+			}
+		}
+		if d := i % 7; w.pos+d < wordsLen {
+			ahead := *s
+			for j := 0; j < d; j++ {
+				ahead.Uint64()
+			}
+			if u, ok := w.Peek(d); !ok || u != ahead.Uint64() {
+				t.Fatalf("draw %d: Peek(%d) = %d, %v", i, d, u, ok)
+			}
+		} else if _, ok := w.Peek(d); ok {
+			t.Fatalf("draw %d: Peek(%d) past the block reported a word", i, d)
+		}
 	}
 }

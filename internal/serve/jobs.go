@@ -457,27 +457,51 @@ func (m *Manager) enqueueLocked(req RunRequest, owner *sweep, cell int, cached *
 // retention cap, and evicting its finished cells mid-sweep would break
 // the per-trial drill-down (GET /v1/runs/{job_id}) the sweep view
 // promises. Such children become evictable once their sweep finishes.
+//
+// Jobs finish roughly in admission order, so the evictable jobs are
+// usually at the front of m.order: popping them costs only what is
+// evicted. A job that must stay at the front falls back to one
+// compacting walk, which evicts the same jobs in the same order.
 func (m *Manager) pruneLocked() {
 	excess := len(m.order) - m.cfg.Retention
+	for excess > 0 && m.evictableLocked(m.order[0]) {
+		m.evictLocked(m.order[0])
+		m.order = m.order[1:]
+		excess--
+	}
 	if excess <= 0 {
 		return
 	}
 	kept := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		finished := j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
-		if j.owner != nil && j.owner.state == StateRunning {
-			finished = false
+	for i, id := range m.order {
+		if excess == 0 {
+			kept = append(kept, m.order[i:]...)
+			break
 		}
-		if excess > 0 && finished {
-			delete(m.jobs, id)
-			m.bus.Drop(runTopic(id))
+		if m.evictableLocked(id) {
+			m.evictLocked(id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
 	m.order = kept
+}
+
+// evictableLocked reports whether pruning may evict the job: it has
+// finished, and it is no cell of a still-running sweep.
+func (m *Manager) evictableLocked(id string) bool {
+	j := m.jobs[id]
+	if j.owner != nil && j.owner.state == StateRunning {
+		return false
+	}
+	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
+}
+
+// evictLocked forgets the job and drops its event topic.
+func (m *Manager) evictLocked(id string) {
+	delete(m.jobs, id)
+	m.bus.Drop(runTopic(id))
 }
 
 // Get returns a snapshot of the job.
